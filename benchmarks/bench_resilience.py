@@ -75,21 +75,28 @@ def _robust_serial(tasks, policy):
     return points
 
 
+def _evaluate(payload):
+    """Pool entrypoint of the bare baseline: one spec on the worker session."""
+    from repro.api.sweep import _worker_session
+
+    spec, technology, root_seed = payload
+    return _worker_session(technology, root_seed).run(spec)
+
+
 def _bare_pool_map(tasks):
-    """The pre-robust parallel path: ``pool.map`` over evaluation payloads."""
+    """The minimal parallel path: ``pool.map`` over the sweep's specs."""
     from repro.api import Session
-    from repro.api.sweep import _evaluate_point, _make_pool
+    from repro.robust import create_pool
 
     session = Session()
     payloads = [
-        (task.index, task.coords, task.spec, session.technology, session.root_seed)
-        for task in tasks
+        (task.spec, session.technology, session.root_seed) for task in tasks
     ]
-    pool = _make_pool(N_JOBS)
+    pool, _ = create_pool(N_JOBS)
     if pool is None:  # no pool support on this platform -> serial map
-        return [_evaluate_point(payload) for payload in payloads]
+        return [_evaluate(payload) for payload in payloads]
     with pool:
-        return list(pool.map(_evaluate_point, payloads))
+        return list(pool.map(_evaluate, payloads))
 
 
 def _robust_parallel(tasks, policy, fault_plan=None):
@@ -135,7 +142,7 @@ def run_benchmark() -> dict:
         2, _robust_parallel, clean_tasks, policy
     )
     assert not par_failures, par_failures
-    assert [p.report for p in par_points] == [p.report for p in mapped]
+    assert [p.report for p in par_points] == mapped
     report["clean_parallel"] = {
         "bare_map_s": t_map,
         "robust_s": t_rpar,

@@ -49,7 +49,7 @@ from repro.api.canonical import (
 )
 from repro.api.session import Session, derive_seed
 from repro.api.spec import AnalysisSpec, DesignStudySpec, StudySpec
-from repro.robust.executor import SweepTask, create_pool, execute_tasks
+from repro.robust.executor import SweepTask, execute_tasks
 from repro.robust.failures import (
     ExecutionTrace,
     PointFailure,
@@ -470,7 +470,6 @@ class ScenarioSweep:
         n_jobs: int | None = None,
         policy: ExecutionPolicy | None = None,
         fault_plan: FaultPlan | None = None,
-        shards: int | None = None,
     ) -> SweepResult:
         """Evaluate every point; ``n_jobs > 1`` fans out across processes.
 
@@ -492,61 +491,23 @@ class ScenarioSweep:
         structured failures, with the original exception as its cause).
         ``fault_plan`` injects deterministic faults for chaos testing (and
         implies the partial-result contract).
-
-        ``shards > 1`` switches to the shard runner
-        (:func:`repro.robust.shard.run_sharded`): tasks are partitioned
-        across worker processes by content-addressed cache key and the
-        shards rendezvous only through a shared checkpoint store, merging
-        to a result bit-identical to a serial run.  ``shards`` and
-        ``n_jobs`` are mutually exclusive (a shard already runs its tasks
-        through a full engine).
         """
-        # Default the session before branching so serial and parallel runs
+        # Default the session before dispatch so serial and parallel runs
         # resolve ``self.session`` identically.
         if session is None:
             session = self.session if self.session is not None else Session()
         strict = policy is None and fault_plan is None
-        if shards is not None and shards > 1:
-            if n_jobs is not None and n_jobs > 1:
-                raise ValueError(
-                    "shards and n_jobs are mutually exclusive; each shard "
-                    "already runs its tasks through a full engine"
-                )
-            from repro.robust.shard import run_sharded
-
-            points, failures, trace = run_sharded(
-                self.tasks(session),
-                session,
-                shards=shards,
-                policy=policy,
-                fault_plan=fault_plan,
-            )
-        else:
-            points, failures, trace = execute_tasks(
-                self.tasks(session),
-                session,
-                policy=policy,
-                n_jobs=n_jobs,
-                fault_plan=fault_plan,
-            )
+        points, failures, trace = execute_tasks(
+            self.tasks(session),
+            session,
+            policy=policy,
+            n_jobs=n_jobs,
+            fault_plan=fault_plan,
+        )
         result = SweepResult(points, failures=failures, trace=trace)
         if strict:
             result.raise_on_failure()
         return result
-
-
-def _make_pool(n_jobs: int):
-    """A verified-working process pool, or ``None`` if this platform has none.
-
-    Thin compatibility wrapper over
-    :func:`repro.robust.executor.create_pool`, which probes the pool (and
-    reaps the probe's workers with ``wait=True`` on failure) and reports
-    *why* a pool is unavailable; the sweep runner records that reason in
-    the result's :class:`~repro.robust.failures.ExecutionTrace` instead of
-    falling back silently.
-    """
-    pool, _ = create_pool(n_jobs)
-    return pool
 
 
 _WORKER_SESSION: Session | None = None
@@ -570,13 +531,6 @@ def _worker_session(technology, root_seed: int) -> Session:
     return _WORKER_SESSION
 
 
-def _evaluate_point(payload: tuple) -> SweepPoint:
-    """Process-pool entrypoint: evaluate one point on a per-worker session."""
-    index, coords, spec, technology, root_seed = payload
-    session = _worker_session(technology, root_seed)
-    return SweepPoint(index, coords, spec, session.run(spec))
-
-
 def run_sweep(
     base: AnySpec,
     axes: Mapping[str, Sequence[Any]],
@@ -586,7 +540,6 @@ def run_sweep(
     seed_policy: str = "spawn",
     policy: ExecutionPolicy | None = None,
     fault_plan: FaultPlan | None = None,
-    shards: int | None = None,
 ) -> SweepResult:
     """One-shot facade: build a :class:`ScenarioSweep` and run it."""
     return ScenarioSweep(base, axes, mode=mode, seed_policy=seed_policy).run(
@@ -594,5 +547,4 @@ def run_sweep(
         n_jobs=n_jobs,
         policy=policy,
         fault_plan=fault_plan,
-        shards=shards,
     )

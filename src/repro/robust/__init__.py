@@ -38,7 +38,6 @@ from repro.robust.policy import ExecutionPolicy
 _SHARD_EXPORTS = (
     "merge_shard_results",
     "partition_tasks",
-    "run_sharded",
     "shard_for_digest",
 )
 
@@ -72,7 +71,6 @@ __all__ = [
     "merge_shard_results",
     "partition_tasks",
     "resolved_store_spec",
-    "run_sharded",
     "shard_for_digest",
     "spec_digest",
 ]

@@ -29,8 +29,15 @@ Recovery behaviour, by failure mode:
 * **pool unavailable / respawn failure** -- execution degrades to the
   serial engine and the trace records why (no more silent fallback).
 * **sweep deadline** -- no new points are submitted once
-  ``policy.sweep_deadline`` expires; in-flight points are drained and every
-  unsubmitted point becomes a structured deadline failure.
+  ``policy.sweep_deadline`` expires and every unsubmitted point becomes a
+  structured deadline failure.  In parallel runs the points still running
+  fail the same way and the pool is abandoned; the serial engine cannot
+  preempt its own frame, so its current point finishes first.
+* **abandoned pools** -- a pool given up while a task runs (point timeout,
+  sweep deadline) has its worker processes killed, so a stuck point
+  neither keeps its CPU nor blocks interpreter exit.  Workers never write
+  the checkpoint store (the coordinator does), so a kill cannot tear an
+  entry.
 * **checkpointing** -- with ``policy.checkpoint_dir`` set, completed points
   are persisted through a :class:`~repro.robust.checkpoint.CheckpointStore`
   as they finish and already-stored points are served from disk before any
@@ -96,13 +103,21 @@ def _make_point(task: SweepTask, report: Any) -> "SweepPoint":
     return SweepPoint(task.index, task.coords, task.spec, report)
 
 
-def _deadline_failure(task: SweepTask, attempts: int) -> PointFailure:
+def _deadline_failure(
+    task: SweepTask, attempts: int, elapsed: float | None = None
+) -> PointFailure:
+    """A point the deadline stopped: never started, or (``elapsed``) cut off."""
     return PointFailure(
         index=task.index,
         coords=task.coords,
         error_type="SweepDeadlineExceeded",
-        message="sweep deadline expired before this point could run",
+        message=(
+            "sweep deadline expired before this point could run"
+            if elapsed is None
+            else "sweep deadline expired while this point was running"
+        ),
         attempts=attempts,
+        elapsed=elapsed or 0.0,
     )
 
 
@@ -151,6 +166,20 @@ def create_pool(n_jobs: int):
         pool.shutdown(wait=True, cancel_futures=True)
         return None, f"pool probe failed: {type(exc).__name__}: {exc}"
     return pool, None
+
+
+def _abandon_pool(pool) -> None:
+    """Shut down a pool whose workers may be mid-task, killing them first.
+
+    ``ProcessPoolExecutor.shutdown`` cannot stop a running task, so the
+    worker would keep computing until the task returns.  Python 3.11 has no
+    public call to stop it, hence the private ``_processes`` map; the pool
+    sees its workers die and fails their futures, which the caller has
+    already settled.
+    """
+    for process in list((pool._processes or {}).values()):
+        process.kill()
+    pool.shutdown(wait=False, cancel_futures=True)
 
 
 def _robust_worker(payload: tuple) -> tuple:
@@ -383,7 +412,7 @@ class _Engine:
         def respawn(why: str) -> bool:
             """Replace a dead/abandoned pool; degrade to serial on failure."""
             nonlocal pool
-            pool.shutdown(wait=False, cancel_futures=True)
+            _abandon_pool(pool)
             pool, reason = create_pool(n_jobs)
             self.trace.n_worker_respawns += 1
             if pool is None:
@@ -395,23 +424,28 @@ class _Engine:
             while states or inflight:
                 now = time.monotonic()
                 if self.deadline_exceeded():
-                    # Stop submitting; drain in-flight below, fail the rest.
-                    if states:
-                        self.trace.deadline_hit = True
-                        for state in states:
-                            self.failures.append(
-                                _deadline_failure(
-                                    state.task, attempts=state.attempt - 1
-                                )
+                    # Queued points never start; running ones are cut off
+                    # and their workers killed with the pool (finally).
+                    self.trace.deadline_hit = True
+                    for state in states:
+                        self.failures.append(
+                            _deadline_failure(state.task, attempts=state.attempt - 1)
+                        )
+                    for state in inflight.values():
+                        self.failures.append(
+                            _deadline_failure(
+                                state.task,
+                                attempts=state.attempt,
+                                elapsed=now - state.started,
                             )
-                        states.clear()
-                    if not inflight:
-                        break
+                        )
+                    states.clear()
+                    break
                 # Submit every ready state up to one task per worker, so a
                 # submitted attempt is (approximately) a running attempt and
                 # per-point timeouts measure execution, not queueing.
                 rotations = 0
-                while states and len(inflight) < n_jobs and not self.deadline_exceeded():
+                while states and len(inflight) < n_jobs:
                     if states[0].ready_at <= now:
                         submit(states.popleft())
                         rotations = 0
@@ -421,9 +455,9 @@ class _Engine:
                         if rotations >= len(states):
                             break  # every remaining state is backing off
                 if not inflight:
-                    # Nothing running: sleep to the earliest backoff wakeup.
-                    wakeup = min(state.ready_at for state in states)
-                    time.sleep(max(_MIN_WAIT, wakeup - time.monotonic()))
+                    # Nothing running: sleep to the earliest backoff wakeup
+                    # or the deadline, whichever comes first.
+                    time.sleep(self._wait_timeout(states, inflight))
                     continue
                 done, _ = wait(
                     set(inflight),
@@ -480,7 +514,10 @@ class _Engine:
                 self._reap_timeouts(states, inflight, attempt_failed, respawn)
         finally:
             if pool is not None:
-                pool.shutdown(wait=False, cancel_futures=True)
+                if inflight:
+                    _abandon_pool(pool)
+                else:
+                    pool.shutdown(wait=False, cancel_futures=True)
 
     def _structured_attempt_failed(
         self, state, error_type, message, tb_text, elapsed, attempt_failed
@@ -555,8 +592,9 @@ class _Engine:
                 now - state.started,
             )
         # A ProcessPoolExecutor cannot cancel a *running* task, so enforcing
-        # the timeout means abandoning the whole pool.  In-flight innocents
-        # are re-enqueued without an attempt penalty.
+        # the timeout means abandoning the whole pool and killing its
+        # workers.  In-flight innocents are re-enqueued without an attempt
+        # penalty.
         for future, state in list(inflight.items()):
             state.started = 0.0
             states.append(state)

@@ -31,7 +31,8 @@ class PointFailure:
         survive pickling across process boundaries and JSON serialisation).
     attempts:
         Attempts actually made; 0 means the point was never submitted
-        (sweep deadline expired first).
+        (sweep deadline expired first).  A point the deadline cut off while
+        running counts that attempt.
     elapsed:
         Wall-clock seconds spent on the final attempt.
     exception:
@@ -58,7 +59,12 @@ class PointFailure:
 
     @property
     def is_deadline(self) -> bool:
-        """Whether the point was never run because the sweep deadline hit."""
+        """Whether the sweep deadline stopped the point.
+
+        Either the point never started, or it was still running in a
+        process pool when the deadline expired and was abandoned with the
+        pool's workers.
+        """
         return self.error_type == "SweepDeadlineExceeded"
 
     def to_dict(self) -> dict[str, Any]:
@@ -134,7 +140,7 @@ class ExecutionTrace:
     pool_kind: str = "serial"  #: ``"process"``, ``"shard"`` or ``"serial"``
     fallback_reason: str | None = None  #: why a requested pool degraded to serial
     n_jobs: int | None = None
-    n_shards: int | None = None  #: shard-runner fan-out, if one was used
+    n_shards: int | None = None  #: shard count, if merged by ``repro.robust.shard``
     n_points: int = 0
     n_completed: int = 0
     n_failed: int = 0
@@ -171,10 +177,11 @@ class ExecutionTrace:
         """Fold another trace's counters into this one.
 
         This is how the study server folds per-batch traces into one
-        stream-level trace and how the shard runner folds per-shard traces
-        into the merged result's: additive counters accumulate, flags OR,
-        and the first recorded fallback reason wins.  ``pool_kind`` tracks
-        the most recent part (the shard runner overwrites it afterwards).
+        stream-level trace and how the shard CLI's merge folds per-shard
+        traces into the merged result's: additive counters accumulate, flags
+        OR, and the first recorded fallback reason wins.  ``pool_kind``
+        tracks the most recent part (the shard merge overwrites it
+        afterwards).
         """
         self.pool_kind = part.pool_kind
         if part.fallback_reason and not self.fallback_reason:

@@ -20,9 +20,11 @@ sweep points execute, never *what* they compute:
   I/O (``Session.store_io_seconds``) is subtracted, so a slow persistent
   store can never time out a healthy point;
 * **deadline** -- ``sweep_deadline`` bounds the whole sweep: once exceeded
-  the executor stops submitting new points, drains in-flight ones, and
-  returns partial results with the remaining points recorded as structured
-  failures;
+  the executor stops submitting new points, abandons the ones still
+  running in a process pool (their workers are killed), and returns
+  partial results with every unfinished point recorded as a structured
+  failure.  A serial run cannot preempt its own frame, so the point in
+  progress finishes first;
 * **checkpointing** -- ``checkpoint_dir`` names a content-addressed
   on-disk store (see :mod:`repro.robust.checkpoint`); completed points are
   persisted as they finish and an interrupted sweep resumes exactly from
@@ -69,8 +71,9 @@ class ExecutionPolicy:
         only, excluding the session's checkpoint-store read-through I/O.
     sweep_deadline:
         Seconds the whole sweep may take, or ``None``.  On expiry no new
-        points are submitted; in-flight points are drained and the
-        unsubmitted remainder becomes structured deadline failures.
+        points are submitted, points still running in a process pool are
+        abandoned, and every unfinished point becomes a structured deadline
+        failure (serial runs finish the point in progress first).
     checkpoint_dir:
         Directory of the content-addressed checkpoint store, or ``None``
         to disable checkpointing.

@@ -107,11 +107,6 @@ class ServeConfig:
         Points per executor batch in streamed sweeps; ``None`` picks 1 for
         serial sweeps (true per-point streaming) and ``4 * n_jobs`` for
         parallel ones (amortises pool spin-up per batch).
-    sweep_shards:
-        Default shard fan-out for sweeps that do not request one
-        themselves (``--shards`` on the command line); ``None`` leaves
-        sweeps unsharded unless the request asks.  Per-request ``shards``
-        always wins, and both are capped by ``budgets.max_shards``.
     drain_timeout:
         Seconds :meth:`StudyServer.shutdown` waits for in-flight work.
     """
@@ -121,7 +116,6 @@ class ServeConfig:
     workers: int = 8
     budgets: ServeBudgets = field(default_factory=ServeBudgets)
     stream_chunk: int | None = None
-    sweep_shards: int | None = None
     drain_timeout: float = 60.0
 
     def __post_init__(self) -> None:
@@ -130,10 +124,6 @@ class ServeConfig:
         if self.stream_chunk is not None and self.stream_chunk < 1:
             raise ValueError(
                 f"stream_chunk must be None or >= 1, got {self.stream_chunk}"
-            )
-        if self.sweep_shards is not None and self.sweep_shards < 1:
-            raise ValueError(
-                f"sweep_shards must be None or >= 1, got {self.sweep_shards}"
             )
         if self.drain_timeout <= 0.0:
             raise ValueError(
@@ -548,19 +538,15 @@ class StudyServer:
                 raise ValueError(f"mode must be 'grid' or 'zip', got {mode!r}")
             seed_policy = payload.get("seed_policy", "spawn")
             n_points = _sweep_point_count(axes, mode)
+            if "shards" in payload:
+                # Fail an old client loudly rather than run it serial.
+                raise ValueError(
+                    "'shards' is not a sweep field; ask for process fan-out "
+                    "with 'n_jobs'"
+                )
             n_jobs = payload.get("n_jobs")
             if n_jobs is not None:
                 n_jobs = int(n_jobs)
-            shards = payload.get("shards", self.config.sweep_shards)
-            if shards is not None:
-                shards = int(shards)
-                if shards < 1:
-                    raise ValueError(f"shards must be >= 1, got {shards}")
-                if n_jobs is not None and n_jobs > 1 and shards > 1:
-                    raise ValueError(
-                        "shards and n_jobs are mutually exclusive; each "
-                        "shard already runs its tasks through a full engine"
-                    )
             policy = (
                 ExecutionPolicy.from_dict(payload["policy"])
                 if payload.get("policy") is not None
@@ -575,13 +561,13 @@ class StudyServer:
                 400, "InvalidSweep", f"not a valid sweep request: {exc}"
             ) from None
         try:
-            self.config.budgets.check_sweep_size(n_points, n_jobs, shards)
+            self.config.budgets.check_sweep_size(n_points, n_jobs)
         except BudgetExceeded as exc:
             self.stats.rejected_budget += 1
             raise _Rejection(
                 413, "BudgetExceeded", str(exc), detail=exc.detail()
             ) from None
-        return base, axes, mode, seed_policy, n_jobs, policy, chunk_size, shards
+        return base, axes, mode, seed_policy, n_jobs, policy, chunk_size
 
     def _build_tasks(self, base, axes, mode: str, seed_policy: str):
         """Worker-thread entrypoint: materialise an admitted sweep.
@@ -617,21 +603,6 @@ class StudyServer:
                 tasks, self.session, policy=policy, n_jobs=n_jobs
             )
 
-    def _run_sharded(self, tasks: list[SweepTask], shards: int, policy):
-        """Worker-thread entrypoint: a whole sweep through the shard runner.
-
-        Sharded sweeps run as one call (the shard partition is global to
-        the task list, so batching would defeat the digest-keyed split);
-        the session lock is held exactly as for a batch -- parallelism
-        lives in the shard processes.
-        """
-        from repro.robust.shard import run_sharded
-
-        with self._session_lock:
-            return run_sharded(
-                tasks, self.session, shards=shards, policy=policy
-            )
-
     async def _handle_sweep(
         self, request: HttpRequest, writer: asyncio.StreamWriter
     ) -> bool:
@@ -641,7 +612,7 @@ class StudyServer:
         but closing after a stream keeps the drain logic trivial; clients
         reconnect cheaply.
         """
-        base, axes, mode, seed_policy, n_jobs, policy, chunk_override, shards = (
+        base, axes, mode, seed_policy, n_jobs, policy, chunk_override = (
             self._parse_sweep(request)
         )
         self._admit()
@@ -659,9 +630,7 @@ class StudyServer:
                     400, "InvalidSweep", f"not a valid sweep request: {exc}"
                 ) from None
             try:
-                self.config.budgets.check_sweep(
-                    [t.spec for t in tasks], n_jobs, shards
-                )
+                self.config.budgets.check_sweep([t.spec for t in tasks], n_jobs)
             except BudgetExceeded as exc:
                 self.stats.rejected_budget += 1
                 raise _Rejection(
@@ -687,28 +656,24 @@ class StudyServer:
                     )
                 )
                 await writer.drain()
-                if shards is not None and shards > 1:
-                    # Sharded: the digest-keyed partition is global to the
-                    # task list, so the whole sweep runs as one call and the
-                    # completed points stream afterwards in batch-sized
-                    # writes (drain fairness, not incremental compute).
+                for offset in range(0, len(tasks), batch):
                     points, failures, trace = await loop.run_in_executor(
-                        self._executor, self._run_sharded, tasks, shards, policy
+                        self._executor,
+                        self._run_batch,
+                        tasks[offset : offset + batch],
+                        n_jobs,
+                        policy,
                     )
                     merged.merge(trace)
-                    merged.pool_kind = trace.pool_kind
-                    merged.n_shards = trace.n_shards
-                    for offset in range(0, len(points), batch):
-                        for point in points[offset : offset + batch]:
-                            self.stats.points_streamed += 1
-                            writer.write(
-                                chunk(
-                                    event_line(
-                                        {"event": "point", "point": point.to_dict()}
-                                    )
+                    for point in points:
+                        self.stats.points_streamed += 1
+                        writer.write(
+                            chunk(
+                                event_line(
+                                    {"event": "point", "point": point.to_dict()}
                                 )
                             )
-                        await writer.drain()
+                        )
                     for failure in failures:
                         writer.write(
                             chunk(
@@ -718,37 +683,6 @@ class StudyServer:
                             )
                         )
                     await writer.drain()
-                else:
-                    for offset in range(0, len(tasks), batch):
-                        points, failures, trace = await loop.run_in_executor(
-                            self._executor,
-                            self._run_batch,
-                            tasks[offset : offset + batch],
-                            n_jobs,
-                            policy,
-                        )
-                        merged.merge(trace)
-                        for point in points:
-                            self.stats.points_streamed += 1
-                            writer.write(
-                                chunk(
-                                    event_line(
-                                        {"event": "point", "point": point.to_dict()}
-                                    )
-                                )
-                            )
-                        for failure in failures:
-                            writer.write(
-                                chunk(
-                                    event_line(
-                                        {
-                                            "event": "failure",
-                                            "failure": failure.to_dict(),
-                                        }
-                                    )
-                                )
-                            )
-                        await writer.drain()
                 merged.elapsed = time.monotonic() - started
                 writer.write(
                     chunk(event_line({"event": "done", "trace": merged.to_dict()}))

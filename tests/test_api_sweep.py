@@ -13,12 +13,12 @@ from repro.api.spec import AnalysisSpec, PipelineSpec, StudySpec, VariationSpec
 from repro.api.sweep import (
     ScenarioSweep,
     SweepPoint,
-    _evaluate_point,
     _worker_session,
     apply_axis,
     run_sweep,
 )
 from repro.process.technology import default_technology
+from repro.robust.executor import _robust_worker
 
 
 @pytest.fixture(scope="module")
@@ -180,7 +180,9 @@ class TestSweepExecution:
         axes = {"pipeline.n_stages": [2, 3], "variation.sigma_scale": [0.5, 1.0]}
         serial = ScenarioSweep(base_spec, axes).run()
         parallel = ScenarioSweep(base_spec, axes).run(n_jobs=2)
-        assert serial.reports() == parallel.reports()
+        assert [(p.index, p.coords, p.spec, p.report) for p in parallel] == [
+            (p.index, p.coords, p.spec, p.report) for p in serial
+        ]
 
     def test_parallel_workers_inherit_session_parameters(self, base_spec):
         """Workers must mirror the dispatching session's root seed, so a
@@ -307,15 +309,15 @@ class TestWorkerSessionReuse:
         third = _worker_session(technology, 7)
         assert third is not second
 
-    def test_evaluate_point_runs_on_the_worker_session(self, base_spec):
-        payload = (0, (("pipeline.n_stages", 2),), base_spec,
-                   default_technology(), 7)
-        point = _evaluate_point(payload)
+    def test_robust_worker_runs_on_the_worker_session(self, base_spec):
+        payload = (0, base_spec, default_technology(), 7, None)
+        status, index, report, _ = _robust_worker(payload)
+        assert (status, index) == ("ok", 0)
         worker = sweep_module._WORKER_SESSION
         assert worker is not None and worker.root_seed == 7
-        assert point.report == Session().analyze(base_spec)
+        assert report == Session().analyze(base_spec)
         # a second payload with the same parameters reuses the session: the
         # cached report object comes back identically (not just equal)
-        again = _evaluate_point(payload)
-        assert again.report is point.report
+        again = _robust_worker(payload)
+        assert again[2] is report
         assert sweep_module._WORKER_SESSION is worker

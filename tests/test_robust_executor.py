@@ -9,11 +9,18 @@ strict ``slow`` marker.
 
 from __future__ import annotations
 
+import json
+import os
+import signal
+import subprocess
+import sys
+
 import pytest
 
+from repro.api.canonical import spec_to_wire
 from repro.api.session import Session
 from repro.api.spec import AnalysisSpec, PipelineSpec, StudySpec, VariationSpec
-from repro.api.sweep import ScenarioSweep
+from repro.api.sweep import ScenarioSweep, SweepResult
 from repro.robust import (
     ExecutionPolicy,
     FaultPlan,
@@ -206,6 +213,90 @@ class TestParallelEngine:
             f.index for f in parallel.failures
         ] == [2]
 
+        def failure_identity(result):
+            # Every field but wall-clock elapsed; a worker's traceback has
+            # its own frames, so only its final (exception) line compares.
+            records = [f.to_dict() for f in result.failures]
+            for record in records:
+                record.pop("elapsed")
+                record["traceback"] = record["traceback"].splitlines()[-1]
+            return records
+
+        assert failure_identity(parallel) == failure_identity(serial)
+        assert parallel.trace.n_failed == serial.trace.n_failed == 1
+
+
+#: Child interpreter for :class:`TestAbandonedPool`: point 0 of a pooled
+#: sweep sleeps for an hour; the result goes to stdout as JSON.
+ABANDON_CHILD = """
+import json, sys
+
+from repro.api.canonical import spec_from_wire
+from repro.api.sweep import ScenarioSweep
+from repro.robust import ExecutionPolicy, FaultPlan, FaultSpec
+
+request = json.loads(sys.argv[1])
+plan = FaultPlan((FaultSpec(point=0, kind="timeout", attempts=-1, delay=3600.0),))
+result = ScenarioSweep(spec_from_wire(request["base"]), request["axes"]).run(
+    n_jobs=2, policy=ExecutionPolicy.from_dict(request["policy"]), fault_plan=plan
+)
+print(result.to_json())
+"""
+
+
+@pytest.mark.slow
+class TestAbandonedPool:
+    """A point that never returns holds neither a pooled sweep nor its process.
+
+    The sweep runs in a child interpreter under a hard time budget, so an
+    engine that waits for the stuck point -- or leaves its worker running,
+    which blocks interpreter exit -- fails the test instead of hanging it.
+    """
+
+    EXIT_BUDGET = 60.0  #: seconds; the stuck point would sleep 3600
+
+    @pytest.mark.parametrize(
+        "policy, error_type",
+        [
+            (ExecutionPolicy(sweep_deadline=2.0), "SweepDeadlineExceeded"),
+            (ExecutionPolicy(point_timeout=1.0, backoff_base=0.0), "PointTimeout"),
+        ],
+        ids=["sweep_deadline", "point_timeout"],
+    )
+    def test_stuck_point_is_cut_off_and_its_worker_killed(
+        self, base_spec, reference, policy, error_type
+    ):
+        request = {
+            "base": spec_to_wire(base_spec),
+            "axes": AXES,
+            "policy": policy.to_dict(),
+        }
+        env = dict(os.environ)
+        src = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
+        env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+        child = subprocess.Popen(
+            [sys.executable, "-c", ABANDON_CHILD, json.dumps(request)],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            text=True,
+            env=env,
+            start_new_session=True,  # its pool workers share its group
+        )
+        try:
+            out, err = child.communicate(timeout=self.EXIT_BUDGET)
+        except subprocess.TimeoutExpired:
+            os.killpg(child.pid, signal.SIGKILL)
+            child.communicate()
+            pytest.fail(f"the sweep's process outlived {self.EXIT_BUDGET}s")
+        assert child.returncode == 0, err
+        result = SweepResult.from_json(out)
+        (failure,) = result.failures
+        assert (failure.index, failure.error_type, failure.attempts) == (
+            0, error_type, 1,
+        )
+        assert point_identity(result) == point_identity(reference)[1:]
+        assert result.trace.deadline_hit == (error_type == "SweepDeadlineExceeded")
+
 
 class TestCheckpointResume:
     def test_killed_then_resumed_is_bit_identical(
@@ -261,7 +352,14 @@ class TestCheckpointResume:
             session=Session(), n_jobs=2, policy=policy
         )
         assert resumed.trace.checkpoint_hits == 2
+        assert resumed.trace.checkpoint_writes == 2
         assert point_identity(resumed) == point_identity(reference)
+        # a complete store: the pooled rerun recomputes nothing
+        again = ScenarioSweep(base_spec, AXES).run(
+            session=Session(), n_jobs=2, policy=policy
+        )
+        assert (again.trace.checkpoint_hits, again.trace.checkpoint_writes) == (4, 0)
+        assert point_identity(again) == point_identity(reference)
 
     def test_deferred_seeds_resolve_before_keying(self, tmp_path, base_spec):
         """None-seed sweeps under different session roots must not collide."""

@@ -195,6 +195,15 @@ class TestBudgetsAndBackpressure:
         assert excinfo.value.status == 413
         assert excinfo.value.detail["budget"] == "max_sweep_points"
 
+    def test_n_jobs_beyond_budget_rejected_with_structured_413(self, client):
+        with pytest.raises(ServerError) as excinfo:
+            client.sweep_result(
+                ScenarioSweep(SMALL, {"analysis.seed": [1, 2]}), n_jobs=99
+            )
+        assert excinfo.value.status == 413
+        assert excinfo.value.error_type == "BudgetExceeded"
+        assert excinfo.value.detail == {"budget": "max_n_jobs", "limit": 8, "got": 99}
+
     def test_max_in_flight_rejects_with_429(self):
         with BackgroundServer(
             config=ServeConfig(budgets=ServeBudgets(max_in_flight=1))
@@ -306,6 +315,19 @@ class TestMalformedRequests:
         )
         assert (status, payload["error"]["type"]) == (400, "InvalidSweep")
 
+    def test_sweep_body_with_shards_is_a_typed_400(self, server):
+        """An old client asking for shards fails loudly, not silently serial."""
+        body = {
+            "base": spec_to_wire(SMALL),
+            "axes": {"analysis.seed": [1, 2]},
+            "shards": 2,
+        }
+        status, payload = raw_request(
+            server, "POST", "/v1/sweep", body=json.dumps(body).encode()
+        )
+        assert (status, payload["error"]["type"]) == (400, "InvalidSweep")
+        assert "n_jobs" in payload["error"]["message"]
+
 
 class TestSweepStreaming:
     def test_stream_matches_local_run_sweep(self, server, client):
@@ -322,6 +344,16 @@ class TestSweepStreaming:
             [p.to_dict() for p in local]
         )
         assert server.server.stats.points_streamed >= 6
+
+    def test_pooled_stream_is_byte_identical_to_local_serial(self, client):
+        axes = {"analysis.n_samples": [100, 150, 200], "analysis.seed": [1, 2]}
+        local = run_sweep(SMALL, axes, session=Session())
+        served = client.sweep_result(ScenarioSweep(SMALL, axes), n_jobs=2)
+        assert json.dumps([p.to_dict() for p in served]) == json.dumps(
+            [p.to_dict() for p in local]
+        )
+        assert served.trace.n_jobs == 2
+        assert served.trace.pool_kind == "process"
 
     def test_stream_carries_structured_failures(self, client):
         axes = {"analysis.backend": ["montecarlo", "no-such-backend"]}
@@ -369,56 +401,6 @@ class TestSweepStreaming:
         # fresh connection gets a clean, normal exchange.
         with Client(server.host, server.port) as follow_up:
             assert follow_up.health()["status"] == "ok"
-
-
-class TestShardedSweep:
-    """The sweep endpoint's ``shards`` knob: shard-run server side, same bytes."""
-
-    def test_sharded_stream_is_byte_identical_to_local_serial(
-        self, server, client
-    ):
-        axes = {"analysis.n_samples": [100, 150, 200], "analysis.seed": [1, 2]}
-        local = run_sweep(SMALL, axes, session=Session())
-        served = client.sweep_result(ScenarioSweep(SMALL, axes), shards=2)
-        assert json.dumps([p.to_dict() for p in served]) == json.dumps(
-            [p.to_dict() for p in local]
-        )
-        assert served.trace.n_shards == 2
-        assert served.trace.pool_kind in ("shard", "serial")
-
-    def test_shards_beyond_budget_rejected_with_structured_413(self, client):
-        with pytest.raises(ServerError) as excinfo:
-            client.sweep_result(
-                ScenarioSweep(SMALL, {"analysis.seed": [1, 2]}), shards=99
-            )
-        assert excinfo.value.status == 413
-        assert excinfo.value.error_type == "BudgetExceeded"
-        assert excinfo.value.detail["budget"] == "max_shards"
-        assert excinfo.value.detail == {"budget": "max_shards", "limit": 8, "got": 99}
-
-    def test_shards_and_n_jobs_rejected_as_invalid(self, client):
-        with pytest.raises(ServerError) as excinfo:
-            client.sweep_result(
-                ScenarioSweep(SMALL, {"analysis.seed": [1, 2]}),
-                shards=2,
-                n_jobs=2,
-            )
-        assert excinfo.value.status == 400
-        assert "mutually exclusive" in str(excinfo.value)
-
-    def test_server_default_shards_applies_when_request_is_silent(self):
-        axes = {"analysis.seed": [1, 2, 3]}
-        local = run_sweep(SMALL, axes, session=Session())
-        with BackgroundServer(
-            config=ServeConfig(sweep_shards=2)
-        ) as background:
-            with Client(background.host, background.port) as c:
-                served = c.sweep_result(ScenarioSweep(SMALL, axes))
-        assert served.trace.n_shards == 2
-        assert list(served) == list(local)
-
-    def test_stats_reports_max_shards_budget(self, client):
-        assert client.stats()["budgets"]["max_shards"] == 8
 
 
 class TestClientRetry:

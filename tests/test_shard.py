@@ -1,9 +1,9 @@
 """Shard-parallel sweeps: digest partition, exact merge, kill/resume, CLI.
 
-The shard runner's whole contract is *bit-identity*: however a sweep is
-split -- 1, 2 or 3 shards, in-process pool or independently-launched CLI
-processes, killed and resumed -- the merged result must equal an
-uninterrupted serial run, point for point, byte for byte.  Every test here
+The shard CLI's whole contract is *bit-identity*: however a sweep is split
+-- 2 or 3 shards, separate processes or the commands called in process,
+killed and resumed or not -- the merged result must equal an uninterrupted
+serial run, point for point, byte for byte.  Every end-to-end test here
 compares against the serial reference rather than asserting shapes.  The
 kill/resume test spawns (and SIGKILLs) real interpreter processes and
 carries the strict ``slow`` marker.
@@ -23,17 +23,16 @@ import pytest
 from repro.api.canonical import resolved_store_spec, spec_digest, spec_to_wire
 from repro.api.session import Session
 from repro.api.spec import AnalysisSpec, PipelineSpec, StudySpec, VariationSpec
-from repro.api.sweep import ScenarioSweep, SweepResult, run_sweep
-from repro.robust import ExecutionPolicy, FaultPlan, FaultSpec
+from repro.api.sweep import ScenarioSweep, SweepResult
+from repro.robust import ExecutionPolicy
 from repro.robust.shard import (
+    main as shard_main,
     merge_shard_results,
     partition_tasks,
-    run_sharded,
     shard_for_digest,
 )
 
 AXES = {"pipeline.n_stages": [2, 3], "variation.sigma_scale": [0.5, 1.0]}
-FAST_RETRY = ExecutionPolicy(max_retries=2, backoff_base=0.0)
 
 
 @pytest.fixture(scope="module")
@@ -108,36 +107,29 @@ class TestPartition:
 
 
 class TestShardedRun:
+    """Every shard's ``run`` then ``merge``, through the CLI in process."""
+
     @pytest.mark.parametrize("shards", [2, 3])
     def test_merged_result_is_bit_identical_to_serial(
-        self, base_spec, reference, shards
+        self, base_spec, reference, tmp_path, shards
     ):
-        result = ScenarioSweep(base_spec, AXES).run(
-            session=Session(), shards=shards
-        )
+        result = run_cli_in_process(tmp_path, base_spec, AXES, shards)
         assert point_identity(result) == point_identity(reference)
         assert not result.failures
         assert result.trace.n_shards == shards
-        assert result.trace.pool_kind in ("shard", "serial")
+        assert result.trace.pool_kind == "shard"
 
-    def test_run_sweep_facade_accepts_shards(self, base_spec, reference):
-        result = run_sweep(base_spec, AXES, session=Session(), shards=2)
-        assert point_identity(result) == point_identity(reference)
-
-    def test_shards_and_n_jobs_are_mutually_exclusive(self, base_spec):
-        with pytest.raises(ValueError, match="mutually exclusive"):
-            ScenarioSweep(base_spec, AXES).run(shards=2, n_jobs=2)
-
-    def test_failures_merge_bit_identical_to_serial(self, base_spec):
-        # The same injected fault produces the same structured failure
-        # whether the point runs serially or inside a shard process.
-        plan = FaultPlan((FaultSpec(point=1, kind="raise", attempts=-1),))
-        serial = ScenarioSweep(base_spec, AXES).run(
-            session=Session(), policy=ExecutionPolicy(), fault_plan=plan
+    def test_failures_merge_bit_identical_to_serial(self, base_spec, tmp_path):
+        # The same failing point produces the same structured failure
+        # whether it runs serially or inside one shard of the split.
+        axes = {
+            "pipeline.n_stages": [2, 3],
+            "analysis.backend": ["montecarlo", "no-such-backend"],
+        }
+        serial = ScenarioSweep(base_spec, axes).run(
+            session=Session(), policy=ExecutionPolicy()
         )
-        sharded = ScenarioSweep(base_spec, AXES).run(
-            session=Session(), policy=ExecutionPolicy(), fault_plan=plan, shards=2
-        )
+        sharded = run_cli_in_process(tmp_path, base_spec, axes, 2)
         assert point_identity(sharded) == point_identity(serial)
 
         def failure_identity(result):
@@ -148,20 +140,16 @@ class TestShardedRun:
             return records
 
         assert failure_identity(sharded) == failure_identity(serial)
-        assert sharded.trace.n_failed == serial.trace.n_failed == 1
+        assert sharded.trace.n_failed == serial.trace.n_failed == 2
 
     def test_duplicates_coalesce_within_their_shard(self, base_spec, tmp_path):
-        session = Session()
-        sweep = ScenarioSweep(
+        result = run_cli_in_process(
+            tmp_path,
             base_spec,
             {"variation.sigma_scale": [0.5, 0.5, 0.5]},
+            2,
             mode="zip",
             seed_policy="fixed",
-        )
-        result = sweep.run(
-            session=session,
-            policy=ExecutionPolicy(checkpoint_dir=str(tmp_path)),
-            shards=2,
         )
         assert len(result) == 3
         reports = [p.report for p in result]
@@ -170,26 +158,12 @@ class TestShardedRun:
         assert result.trace.checkpoint_writes == 1
         assert result.trace.checkpoint_hits == 2
 
-    def test_ephemeral_store_is_cleaned_up(self, base_spec, tmp_path, monkeypatch):
-        import tempfile as tempfile_module
-
-        monkeypatch.setattr(tempfile_module, "tempdir", str(tmp_path))
-        result = ScenarioSweep(base_spec, AXES).run(session=Session(), shards=2)
-        assert len(result) == 4
-        leftovers = [p for p in tmp_path.iterdir() if p.name.startswith("repro-shard-")]
-        assert leftovers == []
-
     def test_resume_from_shared_store_recomputes_nothing(
         self, base_spec, reference, tmp_path
     ):
-        policy = ExecutionPolicy(checkpoint_dir=str(tmp_path))
-        first = ScenarioSweep(base_spec, AXES).run(
-            session=Session(), policy=policy, shards=2
-        )
+        first = run_cli_in_process(tmp_path, base_spec, AXES, 2)
         assert first.trace.checkpoint_writes == 4
-        second = ScenarioSweep(base_spec, AXES).run(
-            session=Session(), policy=policy, shards=2
-        )
+        second = run_cli_in_process(tmp_path, base_spec, AXES, 2)
         assert point_identity(second) == point_identity(reference)
         assert second.trace.checkpoint_hits == 4
         assert second.trace.checkpoint_writes == 0
@@ -231,12 +205,23 @@ def shard_cmd(*args):
     return [sys.executable, "-m", "repro.robust.shard", *args]
 
 
-def write_request(path, base_spec, axes, policy=None):
-    payload = {"base": spec_to_wire(base_spec), "axes": axes}
+def write_request(path, base_spec, axes, policy=None, **fields):
+    payload = {"base": spec_to_wire(base_spec), "axes": axes, **fields}
     if policy is not None:
         payload["policy"] = policy.to_dict()
     path.write_text(json.dumps(payload))
     return path
+
+
+def run_cli_in_process(tmp_path, base_spec, axes, n_shards, **fields):
+    """``run`` every shard against one store, then ``merge`` them."""
+    req = str(write_request(tmp_path / "sweep.json", base_spec, axes, **fields))
+    common = ["--store", str(tmp_path / "store"), "--shards", str(n_shards)]
+    for shard in range(n_shards):
+        assert shard_main(["run", req, *common, "--shard", str(shard)]) == 0
+    merged = tmp_path / "merged.json"
+    assert shard_main(["merge", req, *common, "--out", str(merged)]) == 0
+    return SweepResult.from_json(merged.read_text())
 
 
 class TestShardCLI:
