@@ -21,6 +21,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from repro.process.technology import Technology
 
 
@@ -82,7 +84,14 @@ class Cell:
 
 
 class CellLibrary:
-    """A named collection of :class:`Cell` types."""
+    """A named collection of :class:`Cell` types.
+
+    Each cell also has an integer id (its position in the constructor's
+    list).  :attr:`coefficient_table` maps each coefficient name
+    (``logical_effort``, ``parasitic_delay``, ``area_factor``,
+    ``n_inputs``) to a read-only column indexed by that id, so a netlist
+    turns its per-gate cell ids into coefficient arrays with one gather.
+    """
 
     def __init__(self, cells: list[Cell]) -> None:
         self._cells: dict[str, Cell] = {}
@@ -90,6 +99,13 @@ class CellLibrary:
             if cell.name in self._cells:
                 raise ValueError(f"duplicate cell name {cell.name!r}")
             self._cells[cell.name] = cell
+        self._by_id = tuple(self._cells.values())
+        self._ids = {cell.name: cell_id for cell_id, cell in enumerate(self._by_id)}
+        self.coefficient_table: dict[str, np.ndarray] = {}
+        for name in ("logical_effort", "parasitic_delay", "area_factor", "n_inputs"):
+            column = np.array([getattr(cell, name) for cell in self._by_id])
+            column.flags.writeable = False
+            self.coefficient_table[name] = column
 
     def __contains__(self, name: str) -> bool:
         return name in self._cells
@@ -104,6 +120,19 @@ class CellLibrary:
 
     def __iter__(self):
         return iter(self._cells.values())
+
+    def cell_id(self, name: str) -> int:
+        """Integer id of the named cell (its row in :attr:`coefficient_table`)."""
+        try:
+            return self._ids[name]
+        except KeyError:
+            raise KeyError(
+                f"unknown cell {name!r}; available cells: {sorted(self._cells)}"
+            ) from None
+
+    def cell_at(self, cell_id: int) -> Cell:
+        """The cell with the given integer id."""
+        return self._by_id[cell_id]
 
     def __len__(self) -> int:
         return len(self._cells)

@@ -10,10 +10,16 @@ Design notes
 ------------
 * Gates and primary inputs are identified by string names; primary inputs
   are modelled as zero-delay sources.
-* The netlist caches index arrays (sizes, cell coefficients, fanin/fanout
-  index lists) used by the vectorised timing code; the caches are rebuilt
-  lazily whenever the structure changes and refreshed cheaply when only
-  sizes change.
+* The netlist is the one store of per-gate data.  It holds one column per
+  attribute (name, cell id, fanin names, size, x, y), indexed by insertion
+  slot.  :meth:`Netlist.add_gate` appends to Python lists; the size and
+  placement columns become NumPy arrays at the next query.  A
+  :class:`Gate` is a view of one slot, not a separate object.
+* A structural rebuild orders the gates topologically and keeps one
+  permutation from topological position to insertion slot.  The vectorised
+  accessors (sizes, placement, cell coefficients) gather through it and are
+  cached until the structure changes or a size/placement write bumps the
+  value version; each call still returns fresh, writable arrays.
 * Placement is in normalised die coordinates ([0, 1] x [0, 1]).  A helper
   places gates by logic level inside an arbitrary rectangular region so a
   pipeline can lay its stages side by side across the die, which is what
@@ -22,7 +28,8 @@ Design notes
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from array import array
+from collections.abc import Iterable, Iterator, Mapping
 
 import numpy as np
 
@@ -69,9 +76,24 @@ class NetlistLookupError(NetlistError, KeyError):
     __str__ = NetlistError.__str__
 
 
-@dataclass
+#: Rows of the per-gate float values in ``Netlist._columns()``.
+_SIZE, _X, _Y = 0, 1, 2
+
+
+def _value_column(column: int, doc: str) -> property:
+    """A :class:`Gate` attribute that reads and writes one netlist column."""
+
+    def get(gate: "Gate") -> float:
+        return float(gate._netlist._columns()[column, gate._slot])
+
+    def set_(gate: "Gate", value: float) -> None:
+        gate._netlist._write(column, gate._slot, value)
+
+    return property(get, set_, doc=doc)
+
+
 class Gate:
-    """One sized, placed cell instance.
+    """One sized, placed cell instance: a view of one slot of a netlist.
 
     Attributes
     ----------
@@ -81,18 +103,70 @@ class Gate:
         Name of the cell type in the library (e.g. ``"NAND2"``).
     fanins:
         Names of the driving nodes (gates or primary inputs), in pin order.
+        Assigning new fanins marks the netlist's structure dirty.
     size:
         Drive strength in multiples of a minimum-size device.
     x, y:
         Placement in normalised die coordinates.
+
+    Writing ``size``, ``x`` or ``y`` updates the netlist's column, so the
+    next vectorised query sees it.
     """
 
-    name: str
-    cell: str
-    fanins: tuple[str, ...]
-    size: float = 1.0
-    x: float = 0.5
-    y: float = 0.5
+    __slots__ = ("_netlist", "_slot")
+
+    def __init__(self, netlist: "Netlist", slot: int) -> None:
+        self._netlist = netlist
+        self._slot = slot
+
+    @property
+    def name(self) -> str:
+        return self._netlist._names[self._slot]
+
+    @property
+    def cell(self) -> str:
+        netlist = self._netlist
+        return netlist.library.cell_at(netlist._cell_ids[self._slot]).name
+
+    @property
+    def fanins(self) -> tuple[str, ...]:
+        return self._netlist._fanins[self._slot]
+
+    @fanins.setter
+    def fanins(self, fanins: Iterable[str]) -> None:
+        self._netlist._fanins[self._slot] = tuple(fanins)
+        self._netlist._dirty = True
+
+    size = _value_column(_SIZE, "Drive strength in multiples of a minimum-size device.")
+    x = _value_column(_X, "Horizontal placement in normalised die coordinates.")
+    y = _value_column(_Y, "Vertical placement in normalised die coordinates.")
+
+    def __repr__(self) -> str:  # pragma: no cover - debugging aid
+        return (
+            f"Gate({self.name!r}, {self.cell!r}, fanins={self.fanins!r}, "
+            f"size={self.size!r}, x={self.x!r}, y={self.y!r})"
+        )
+
+
+class _GateViews(Mapping):
+    """Read-only name -> :class:`Gate` mapping, in insertion order."""
+
+    __slots__ = ("_netlist",)
+
+    def __init__(self, netlist: "Netlist") -> None:
+        self._netlist = netlist
+
+    def __getitem__(self, name: str) -> Gate:
+        return Gate(self._netlist, self._netlist._slot[name])
+
+    def __iter__(self) -> Iterator[str]:
+        return iter(self._netlist._names)
+
+    def __len__(self) -> int:
+        return len(self._netlist._names)
+
+    def __contains__(self, name: object) -> bool:
+        return name in self._netlist._slot
 
 
 class Netlist:
@@ -127,14 +201,24 @@ class Netlist:
             default_output_load = 2.0 * self.technology.c_unit
         self.default_output_load = float(default_output_load)
 
-        self._gates: dict[str, Gate] = {}
+        # Per-gate columns, indexed by insertion slot.
+        self._names: list[str] = []
+        self._slot: dict[str, int] = {}
+        self._cell_ids: list[int] = []
+        self._fanins: list[tuple[str, ...]] = []
+        # Size, x and y as the rows of one NumPy array, plus the interleaved
+        # values of gates added since it was last built (see _columns()).
+        self._values = np.zeros((3, 0))
+        self._appended = array("d")
         self._primary_inputs: list[str] = []
+        self._input_set: set[str] = set()
         self._primary_outputs: list[str] = []
+        self._output_set: set[str] = set()
         self._dirty = True
 
-        # Caches built by _rebuild()
+        # Structure built by _rebuild()
         self._order: list[str] = []
-        self._index: dict[str, int] = {}
+        self._perm: np.ndarray = np.zeros(0, dtype=np.intp)  # position -> slot
         self._fanin_indices: list[list[int]] = []
         self._fanout_indices: list[list[int]] = []
         self._is_po: np.ndarray = np.zeros(0, dtype=bool)
@@ -142,19 +226,25 @@ class Netlist:
         # structural version; see timing_schedule().
         self._structure_version = 0
         self._schedule: TimingSchedule | None = None
+        # Topological-order gathers, each stored with the (structure, value)
+        # versions it was built at; size and placement writes bump the value
+        # version.
+        self._value_version = 0
+        self._gathers: dict[str, tuple[tuple[int, int], object]] = {}
 
     # ------------------------------------------------------------------
     # Construction
     # ------------------------------------------------------------------
     def add_primary_input(self, name: str) -> None:
         """Declare a primary input node."""
-        if name in self._gates or name in self._primary_inputs:
+        if name in self._slot or name in self._input_set:
             raise NetlistError(
                 f"node {name!r} already exists in netlist {self.name!r}",
                 netlist=self.name,
                 gate=name,
             )
         self._primary_inputs.append(name)
+        self._input_set.add(name)
         self._dirty = True
 
     def add_gate(
@@ -176,31 +266,33 @@ class Netlist:
         :meth:`validate` or first structural query) rather than silently
         levelising wrong.
         """
-        if name in self._gates or name in self._primary_inputs:
+        if name in self._slot or name in self._input_set:
             raise NetlistError(
                 f"duplicate gate name {name!r} in netlist {self.name!r}",
                 netlist=self.name,
                 gate=name,
             )
-        if cell not in self.library:
+        try:
+            cell_id = self.library.cell_id(cell)
+        except KeyError:
             raise NetlistLookupError(
                 f"gate {name!r}: cell {cell!r} not in library for netlist "
                 f"{self.name!r}; available cells: {self.library.names}",
                 netlist=self.name,
                 gate=name,
-            )
-        cell_obj = self.library[cell]
+            ) from None
+        n_inputs = self.library.cell_at(cell_id).n_inputs
         fanins = tuple(fanins)
-        if len(fanins) != cell_obj.n_inputs:
+        if len(fanins) != n_inputs:
             raise NetlistError(
-                f"gate {name!r}: cell {cell} expects {cell_obj.n_inputs} fanins, "
+                f"gate {name!r}: cell {cell} expects {n_inputs} fanins, "
                 f"got {len(fanins)}",
                 netlist=self.name,
                 gate=name,
             )
         if not allow_forward:
             for fanin in fanins:
-                if fanin not in self._gates and fanin not in self._primary_inputs:
+                if fanin not in self._slot and fanin not in self._input_set:
                     raise NetlistLookupError(
                         f"gate {name!r}: fanin {fanin!r} is not a known gate or "
                         f"primary input",
@@ -214,22 +306,27 @@ class Netlist:
                 netlist=self.name,
                 gate=name,
             )
-        gate = Gate(name=name, cell=cell, fanins=fanins, size=float(size), x=x, y=y)
-        self._gates[name] = gate
+        slot = len(self._names)
+        self._slot[name] = slot
+        self._names.append(name)
+        self._cell_ids.append(cell_id)
+        self._fanins.append(fanins)
+        self._appended.extend((size, x, y))
         self._dirty = True
-        return gate
+        return Gate(self, slot)
 
     def mark_primary_output(self, name: str) -> None:
         """Mark a gate as a primary output of the block."""
-        if name not in self._gates:
+        if name not in self._slot:
             raise NetlistLookupError(
                 f"cannot mark unknown gate {name!r} as primary output of "
                 f"netlist {self.name!r}",
                 netlist=self.name,
                 gate=name,
             )
-        if name not in self._primary_outputs:
+        if name not in self._output_set:
             self._primary_outputs.append(name)
+            self._output_set.add(name)
             self._dirty = True
 
     def validate(self) -> None:
@@ -246,9 +343,9 @@ class Netlist:
     # Basic queries
     # ------------------------------------------------------------------
     @property
-    def gates(self) -> dict[str, Gate]:
-        """Mapping of gate name to :class:`Gate` (insertion ordered)."""
-        return self._gates
+    def gates(self) -> Mapping[str, Gate]:
+        """Read-only mapping of gate name to :class:`Gate` (insertion ordered)."""
+        return _GateViews(self)
 
     @property
     def primary_inputs(self) -> list[str]:
@@ -263,42 +360,86 @@ class Netlist:
     @property
     def n_gates(self) -> int:
         """Number of gates (excluding primary inputs)."""
-        return len(self._gates)
+        return len(self._names)
 
     def __len__(self) -> int:
-        return len(self._gates)
+        return len(self._names)
 
     def __contains__(self, name: str) -> bool:
-        return name in self._gates
+        return name in self._slot
 
     def gate(self, name: str) -> Gate:
         """Look up a gate by name."""
         try:
-            return self._gates[name]
+            return Gate(self, self._slot[name])
         except KeyError:
             raise KeyError(f"no gate named {name!r} in netlist {self.name!r}") from None
+
+    # ------------------------------------------------------------------
+    # Per-gate columns
+    # ------------------------------------------------------------------
+    def _columns(self) -> np.ndarray:
+        """Size, x and y rows by insertion slot, absorbing gates added since."""
+        if self._appended:
+            added = np.array(self._appended, dtype=float).reshape(-1, 3).T
+            self._values = np.concatenate([self._values, added], axis=1)
+            self._appended = array("d")
+        return self._values
+
+    def _write(self, column: int, slot: int, value: float) -> None:
+        """Set one gate's size, x or y and invalidate the cached gathers."""
+        self._columns()[column, slot] = value
+        self._value_version += 1
+
+    def _gathered(self, key: str, build, values: bool = True):
+        """A cached topological-order gather; callers must not mutate it.
+
+        ``values=False`` marks a gather that depends on the structure only
+        (cell ids), so size and placement writes keep it.
+        """
+        self._ensure_current()
+        versions = (self._structure_version, self._value_version if values else 0)
+        cached = self._gathers.get(key)
+        if cached is None or cached[0] != versions:
+            cached = self._gathers[key] = (versions, build())
+        return cached[1]
+
+    def _sizes(self) -> np.ndarray:
+        return self._gathered("sizes", lambda: self._columns()[_SIZE, self._perm])
+
+    def _coefficients(self) -> dict[str, np.ndarray]:
+        def build() -> dict[str, np.ndarray]:
+            ids = np.array(self._cell_ids, dtype=np.intp)[self._perm]
+            table = self.library.coefficient_table
+            return {name: column[ids] for name, column in table.items()}
+
+        return self._gathered("coefficients", build, values=False)
 
     # ------------------------------------------------------------------
     # Structure caches
     # ------------------------------------------------------------------
     def _rebuild(self) -> None:
-        """Rebuild topological order, index maps and fanin/fanout caches."""
-        order: list[str] = []
-        index: dict[str, int] = {}
-        in_degree: dict[str, int] = {}
-        pi_set = set(self._primary_inputs)
+        """Rebuild topological order, the slot permutation and fanin/fanout caches.
+
+        Kahn's algorithm over insertion slots: the gates ready at the start
+        in name order, then first in, first out.  Insertion order and this
+        tie-break fix the topological order every timing result follows
+        (DESIGN.md "Round-trip bit-exactness").
+        """
+        names, fanins_of, slot_of = self._names, self._fanins, self._slot
+        inputs = self._input_set
+        in_degree = [0] * len(names)
+        dependents: dict[str, list[int]] = {}
         dangling: list[tuple[str, str]] = []
-        dependents: dict[str, list[str]] = {name: [] for name in self._primary_inputs}
-        for gate in self._gates.values():
-            dependents.setdefault(gate.name, [])
+        for slot, fanins in enumerate(fanins_of):
             gate_fanin_count = 0
-            for fanin in gate.fanins:
-                if fanin in self._gates:
+            for fanin in fanins:
+                if fanin in slot_of:
                     gate_fanin_count += 1
-                elif fanin not in pi_set:
-                    dangling.append((gate.name, fanin))
-                dependents.setdefault(fanin, []).append(gate.name)
-            in_degree[gate.name] = gate_fanin_count
+                    dependents.setdefault(fanin, []).append(slot)
+                elif fanin not in inputs:
+                    dangling.append((names[slot], fanin))
+            in_degree[slot] = gate_fanin_count
 
         if dangling:
             gate_name, net = dangling[0]
@@ -313,22 +454,23 @@ class Netlist:
                 net=net,
             )
 
-        ready = [name for name, degree in in_degree.items() if degree == 0]
-        ready.sort()
+        order = sorted(
+            (slot for slot, degree in enumerate(in_degree) if degree == 0),
+            key=names.__getitem__,
+        )
         position = 0
-        ready_set = list(ready)
-        while position < len(ready_set):
-            name = ready_set[position]
-            position += 1
-            index[name] = len(order)
-            order.append(name)
-            for successor in dependents.get(name, []):
+        while position < len(order):
+            for successor in dependents.get(names[order[position]], ()):
                 in_degree[successor] -= 1
                 if in_degree[successor] == 0:
-                    ready_set.append(successor)
+                    order.append(successor)
+            position += 1
 
-        if len(order) != len(self._gates):
-            unresolved = set(self._gates) - set(order)
+        if len(order) != len(names):
+            placed = set(order)
+            unresolved = {
+                name for slot, name in enumerate(names) if slot not in placed
+            }
             cycle = self._find_cycle(unresolved)
             raise NetlistError(
                 f"netlist {self.name!r} contains a combinational cycle: "
@@ -337,22 +479,24 @@ class Netlist:
                 gate=cycle[0],
             )
 
-        fanin_indices: list[list[int]] = []
+        position_of = [0] * len(order)  # insertion slot -> topological position
+        for position, slot in enumerate(order):
+            position_of[slot] = position
+        fanin_indices = [
+            [position_of[slot_of[f]] for f in fanins_of[slot] if f in slot_of]
+            for slot in order
+        ]
         fanout_indices: list[list[int]] = [[] for _ in order]
-        for name in order:
-            gate = self._gates[name]
-            fanins = [index[f] for f in gate.fanins if f in self._gates]
-            fanin_indices.append(fanins)
         for gate_pos, fanins in enumerate(fanin_indices):
             for fanin_pos in fanins:
                 fanout_indices[fanin_pos].append(gate_pos)
 
         is_po = np.zeros(len(order), dtype=bool)
         for name in self._primary_outputs:
-            is_po[index[name]] = True
+            is_po[position_of[slot_of[name]]] = True
 
-        self._order = order
-        self._index = index
+        self._order = [names[slot] for slot in order]
+        self._perm = np.array(order, dtype=np.intp)
         self._fanin_indices = fanin_indices
         self._fanout_indices = fanout_indices
         self._is_po = is_po
@@ -371,7 +515,7 @@ class Netlist:
             path.append(node)
             # Follow any fanin that is itself unresolved; one always exists,
             # otherwise the gate would have been scheduled.
-            node = next(f for f in self._gates[node].fanins if f in unresolved)
+            node = next(f for f in self._fanins[self._slot[node]] if f in unresolved)
         return path[seen[node]:]
 
     def _ensure_current(self) -> None:
@@ -386,7 +530,7 @@ class Netlist:
     def gate_index(self) -> dict[str, int]:
         """Mapping from gate name to its position in topological order."""
         self._ensure_current()
-        return dict(self._index)
+        return {name: position for position, name in enumerate(self._order)}
 
     def fanin_indices(self) -> list[list[int]]:
         """Per-gate list of fanin positions (topological indexing)."""
@@ -422,8 +566,7 @@ class Netlist:
     # ------------------------------------------------------------------
     def sizes(self) -> np.ndarray:
         """Gate sizes as an array in topological order."""
-        self._ensure_current()
-        return np.array([self._gates[name].size for name in self._order])
+        return self._sizes().copy()
 
     def set_sizes(self, sizes: np.ndarray) -> None:
         """Assign gate sizes from an array in topological order."""
@@ -435,15 +578,13 @@ class Netlist:
             )
         if np.any(sizes <= 0.0):
             raise ValueError("all gate sizes must be positive")
-        for name, size in zip(self._order, sizes):
-            self._gates[name].size = float(size)
+        self._columns()[_SIZE, self._perm] = sizes
+        self._value_version += 1
 
     def positions(self) -> tuple[np.ndarray, np.ndarray]:
         """Gate placement coordinates (x, y) in topological order."""
-        self._ensure_current()
-        xs = np.array([self._gates[name].x for name in self._order])
-        ys = np.array([self._gates[name].y for name in self._order])
-        return xs, ys
+        xs, ys = self._gathered("positions", lambda: self._columns()[_X:, self._perm])
+        return xs.copy(), ys.copy()
 
     def cell_coefficients(self) -> dict[str, np.ndarray]:
         """Per-gate cell coefficients (topological order).
@@ -451,14 +592,7 @@ class Netlist:
         Returns a dict with arrays ``logical_effort``, ``parasitic_delay``,
         ``area_factor`` and ``n_inputs``.
         """
-        self._ensure_current()
-        cells = [self.library[self._gates[name].cell] for name in self._order]
-        return {
-            "logical_effort": np.array([c.logical_effort for c in cells]),
-            "parasitic_delay": np.array([c.parasitic_delay for c in cells]),
-            "area_factor": np.array([c.area_factor for c in cells]),
-            "n_inputs": np.array([c.n_inputs for c in cells]),
-        }
+        return {name: column.copy() for name, column in self._coefficients().items()}
 
     def load_capacitances(self, sizes: np.ndarray | None = None) -> np.ndarray:
         """Output load of every gate in farads (topological order).
@@ -472,13 +606,8 @@ class Netlist:
             Optional size vector to evaluate loads at (without mutating the
             netlist); defaults to the current gate sizes.
         """
-        self._ensure_current()
-        if sizes is None:
-            sizes = self.sizes()
-        else:
-            sizes = np.asarray(sizes, dtype=float)
-        coeffs = self.cell_coefficients()
-        pin_caps = coeffs["logical_effort"] * self.technology.c_unit * sizes
+        sizes = self._sizes() if sizes is None else np.asarray(sizes, dtype=float)
+        pin_caps = self._coefficients()["logical_effort"] * self.technology.c_unit * sizes
         schedule = self.timing_schedule()
         # Every fanin arc (source -> owner) contributes the owner's pin
         # capacitance to the source's load; one bincount sums them all.
@@ -502,12 +631,11 @@ class Netlist:
     # ------------------------------------------------------------------
     def total_area(self, sizes: np.ndarray | None = None) -> float:
         """Total layout area in square micrometres."""
-        self._ensure_current()
         if sizes is None:
-            sizes = self.sizes()
-        coeffs = self.cell_coefficients()
+            sizes = self._sizes()
+        area_factor = self._coefficients()["area_factor"]
         return float(
-            (coeffs["area_factor"] * self.technology.area_unit * np.asarray(sizes)).sum()
+            (area_factor * self.technology.area_unit * np.asarray(sizes)).sum()
         )
 
     def logic_depth(self) -> int:
@@ -544,18 +672,17 @@ class Netlist:
         self._ensure_current()
         levels = self.levels()
         max_level = int(levels.max()) if len(levels) else 1
-        counts_per_level: dict[int, int] = {}
-        seen_per_level: dict[int, int] = {}
-        for level in levels:
-            counts_per_level[int(level)] = counts_per_level.get(int(level), 0) + 1
-        for name, level in zip(self._order, levels):
-            level = int(level)
-            position_in_level = seen_per_level.get(level, 0)
-            seen_per_level[level] = position_in_level + 1
-            count = counts_per_level[level]
-            gate = self._gates[name]
-            gate.x = x0 + (x1 - x0) * (level - 0.5) / max_level
-            gate.y = y0 + (y1 - y0) * (position_in_level + 0.5) / count
+        # Each gate's rank among the gates of its level, in topological order.
+        counts = np.bincount(levels)
+        by_level = np.argsort(levels, kind="stable")
+        level_starts = np.cumsum(counts) - counts
+        rank = np.empty(len(levels), dtype=np.int64)
+        rank[by_level] = np.arange(len(levels)) - level_starts[levels[by_level]]
+        # The same float expressions, in the same order, as one gate at a time.
+        values = self._columns()
+        values[_X, self._perm] = x0 + (x1 - x0) * (levels - 0.5) / max_level
+        values[_Y, self._perm] = y0 + (y1 - y0) * (rank + 0.5) / counts[levels]
+        self._value_version += 1
 
     # ------------------------------------------------------------------
     # Copying
@@ -568,22 +695,15 @@ class Netlist:
             technology=self.technology,
             default_output_load=self.default_output_load,
         )
-        for pi in self._primary_inputs:
-            clone.add_primary_input(pi)
-        for gate in self._gates.values():
-            # Insertion order is not necessarily topological (parsers may add
-            # gates in file order), so defer fanin checks to the rebuild.
-            clone.add_gate(
-                gate.name,
-                gate.cell,
-                gate.fanins,
-                size=gate.size,
-                x=gate.x,
-                y=gate.y,
-                allow_forward=True,
-            )
-        for po in self._primary_outputs:
-            clone.mark_primary_output(po)
+        clone._names = list(self._names)
+        clone._slot = dict(self._slot)
+        clone._cell_ids = list(self._cell_ids)
+        clone._fanins = list(self._fanins)
+        clone._values = self._columns().copy()
+        clone._primary_inputs = list(self._primary_inputs)
+        clone._input_set = set(self._input_set)
+        clone._primary_outputs = list(self._primary_outputs)
+        clone._output_set = set(self._output_set)
         return clone
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid

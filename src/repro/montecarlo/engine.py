@@ -130,19 +130,27 @@ class MonteCarloEngine:
         ys = np.concatenate([ys, [reg_y]])
         return sizes, xs, ys
 
+    def _nominal_delays(self, stage: PipelineStage) -> np.ndarray | None:
+        """A stage's nominal gate delays, shared by all of a run's chunks."""
+        if stage.netlist.n_gates == 0:
+            return None
+        return self.delay_model.nominal_delays(stage.netlist)
+
     def _stage_delay_from_samples(
         self,
         stage: PipelineStage,
         vth: np.ndarray,
         length: np.ndarray,
+        nominal: np.ndarray | None,
         workspace: np.ndarray | None = None,
     ) -> np.ndarray:
         """Stage delay samples given this stage's device parameter samples.
 
         ``vth``/``length`` have one column per device: the stage's gates in
-        topological order followed by the register device.  ``workspace`` is
-        an optional ``(n_chunk_samples, n_gates)`` arrival buffer reused
-        across sample chunks.
+        topological order followed by the register device.  ``nominal`` is
+        the stage's :meth:`_nominal_delays`.  ``workspace`` is an optional
+        ``(n_chunk_samples, n_gates)`` arrival buffer reused across sample
+        chunks.
         """
         netlist = stage.netlist
         n_gates = netlist.n_gates
@@ -152,7 +160,9 @@ class MonteCarloEngine:
         register_length = length[:, n_gates]
 
         if n_gates > 0:
-            delays = self.delay_model.delay_samples(netlist, gate_vth, gate_length)
+            delays = self.delay_model.delay_samples(
+                netlist, gate_vth, gate_length, nominal=nominal
+            )
             if workspace is not None:
                 workspace = workspace[: delays.shape[0]]
             comb = np.asarray(
@@ -172,6 +182,7 @@ class MonteCarloEngine:
         """Monte-Carlo delay distribution of a single stage."""
         rng = self._rng()
         sizes, xs, ys = self._stage_device_arrays(stage)
+        nominal = self._nominal_delays(stage)
         delays = np.empty(self.n_samples)
         chunks = self._chunk_counts()
         workspace = (
@@ -183,7 +194,7 @@ class MonteCarloEngine:
         for count in chunks:
             samples = self.sampler.sample(sizes, xs, ys, count, rng)
             delays[offset : offset + count] = self._stage_delay_from_samples(
-                stage, samples.vth, samples.length, workspace
+                stage, samples.vth, samples.length, nominal, workspace
             )
             offset += count
         return MonteCarloResult(delays, name=stage.name)
@@ -224,6 +235,7 @@ class MonteCarloEngine:
         sizes = np.concatenate(all_sizes)
         xs = np.concatenate(all_x)
         ys = np.concatenate(all_y)
+        nominals = [self._nominal_delays(stage) for stage in pipeline.stages]
 
         stage_delays = np.zeros((self.n_samples, pipeline.n_stages))
         chunks = self._chunk_counts()
@@ -244,7 +256,7 @@ class MonteCarloEngine:
                 stage_delays[
                     sample_offset : sample_offset + count, index
                 ] = self._stage_delay_from_samples(
-                    stage, vth, length, workspaces[index]
+                    stage, vth, length, nominals[index], workspaces[index]
                 )
                 device_offset += n_devices
             sample_offset += count

@@ -22,7 +22,36 @@ here (the default is 8 x 8 = 64 cells).
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
+
+
+def _correlation_matrix(grid_size: int, correlation_length: float) -> np.ndarray:
+    """Cell-to-cell exponential correlation over a ``grid_size`` square grid."""
+    edges = (np.arange(grid_size) + 0.5) / grid_size
+    xs, ys = np.meshgrid(edges, edges, indexing="ij")
+    centres = np.column_stack([xs.ravel(), ys.ravel()])
+    deltas = centres[:, None, :] - centres[None, :, :]
+    distances = np.sqrt((deltas**2).sum(axis=-1))
+    return np.exp(-distances / correlation_length)
+
+
+@functools.lru_cache(maxsize=16)
+def _cholesky_factor(grid_size: int, correlation_length: float) -> np.ndarray:
+    """Read-only lower Cholesky factor of the grid's correlation matrix.
+
+    Every Monte-Carlo engine and statistical timer builds a model, so the
+    factor is shared per ``(grid_size, correlation_length)``.
+    """
+    corr = _correlation_matrix(grid_size, correlation_length)
+    # Exponential correlation matrices are positive definite, but add a
+    # tiny jitter so the factorisation is robust to round-off for large
+    # grids or long correlation lengths.
+    jitter = 1e-10 * np.eye(corr.shape[0])
+    factor = np.linalg.cholesky(corr + jitter)
+    factor.flags.writeable = False
+    return factor
 
 
 class SpatialCorrelationModel:
@@ -46,32 +75,11 @@ class SpatialCorrelationModel:
             )
         self.grid_size = int(grid_size)
         self.correlation_length = float(correlation_length)
-        self._cholesky = self._build_cholesky()
-
-    # ------------------------------------------------------------------
-    # Construction helpers
-    # ------------------------------------------------------------------
-    def _cell_centres(self) -> np.ndarray:
-        """Coordinates of all cell centres, shape (n_cells, 2), in [0, 1]."""
-        n = self.grid_size
-        edges = (np.arange(n) + 0.5) / n
-        xs, ys = np.meshgrid(edges, edges, indexing="ij")
-        return np.column_stack([xs.ravel(), ys.ravel()])
+        self._cholesky = _cholesky_factor(self.grid_size, self.correlation_length)
 
     def correlation_matrix(self) -> np.ndarray:
         """Full cell-to-cell correlation matrix, shape (n_cells, n_cells)."""
-        centres = self._cell_centres()
-        deltas = centres[:, None, :] - centres[None, :, :]
-        distances = np.sqrt((deltas**2).sum(axis=-1))
-        return np.exp(-distances / self.correlation_length)
-
-    def _build_cholesky(self) -> np.ndarray:
-        corr = self.correlation_matrix()
-        # Exponential correlation matrices are positive definite, but add a
-        # tiny jitter so the factorisation is robust to round-off for large
-        # grids or long correlation lengths.
-        jitter = 1e-10 * np.eye(corr.shape[0])
-        return np.linalg.cholesky(corr + jitter)
+        return _correlation_matrix(self.grid_size, self.correlation_length)
 
     # ------------------------------------------------------------------
     # Public API

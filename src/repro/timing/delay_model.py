@@ -93,6 +93,7 @@ class GateDelayModel:
         vth_samples: np.ndarray,
         length_samples: np.ndarray | None = None,
         sizes: np.ndarray | None = None,
+        nominal: np.ndarray | None = None,
     ) -> np.ndarray:
         """Per-sample, per-gate delays in seconds.
 
@@ -107,13 +108,19 @@ class GateDelayModel:
             Optional channel-length samples of the same shape.
         sizes:
             Optional size vector (topological order).
+        nominal:
+            The netlist's :meth:`nominal_delays` at ``sizes``, when the
+            caller already has them (a Monte-Carlo run computes them once
+            and reuses them for every sample chunk); ``sizes`` is then
+            ignored.
 
         Returns
         -------
         numpy.ndarray
             Delays of shape ``(n_samples, n_gates)``.
         """
-        nominal = self.nominal_delays(netlist, sizes)
+        if nominal is None:
+            nominal = self.nominal_delays(netlist, sizes)
         vth_samples = np.asarray(vth_samples, dtype=float)
         if vth_samples.ndim != 2 or vth_samples.shape[1] != nominal.shape[0]:
             raise ValueError(

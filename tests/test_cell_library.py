@@ -82,3 +82,25 @@ class TestCellLibrary:
         inv = lib["INV"]
         assert inv.logical_effort == pytest.approx(1.0)
         assert inv.area_factor == pytest.approx(1.0)
+
+
+class TestCoefficientTable:
+    def test_rows_match_cells(self):
+        library = standard_cell_library()
+        table = library.coefficient_table
+        for cell in library:
+            row = library.cell_id(cell.name)
+            assert library.cell_at(row) is cell
+            assert table["logical_effort"][row] == cell.logical_effort
+            assert table["parasitic_delay"][row] == cell.parasitic_delay
+            assert table["area_factor"][row] == cell.area_factor
+            assert table["n_inputs"][row] == cell.n_inputs
+
+    def test_table_is_read_only(self):
+        table = standard_cell_library().coefficient_table
+        with pytest.raises(ValueError):
+            table["logical_effort"][0] = 9.0
+
+    def test_unknown_cell_id(self):
+        with pytest.raises(KeyError):
+            standard_cell_library().cell_id("NAND77")

@@ -213,3 +213,68 @@ class TestEngineOnPipelines:
         dists = result.stage_distributions()
         assert len(dists) == 3
         assert dists[0].mean == pytest.approx(result.stage_means()[0])
+
+
+class TestNominalDelaysPerRun:
+    """The engine computes each stage's nominal delays once per run."""
+
+    @staticmethod
+    def _count_nominal_calls(monkeypatch) -> list:
+        from repro.timing.delay_model import GateDelayModel
+
+        calls = []
+        original = GateDelayModel.nominal_delays
+
+        def counting(self, netlist, sizes=None):
+            calls.append(netlist.name)
+            return original(self, netlist, sizes)
+
+        monkeypatch.setattr(GateDelayModel, "nominal_delays", counting)
+        return calls
+
+    @staticmethod
+    def _recompute_per_chunk(monkeypatch) -> None:
+        """Make every chunk recompute nominal delays, as before hoisting."""
+        from repro.timing.delay_model import GateDelayModel
+
+        original = GateDelayModel.delay_samples
+
+        def per_chunk(self, netlist, vth, length=None, sizes=None, nominal=None):
+            return original(self, netlist, vth, length, sizes)
+
+        monkeypatch.setattr(GateDelayModel, "delay_samples", per_chunk)
+
+    def test_chunked_pipeline_computes_nominal_once_per_stage(
+        self, monkeypatch, variation_combined
+    ):
+        pipeline = inverter_chain_pipeline(3, 6)
+        calls = self._count_nominal_calls(monkeypatch)
+        MonteCarloEngine(
+            variation_combined, n_samples=100, seed=4, chunk_size=16
+        ).run_pipeline(pipeline)
+        assert sorted(calls) == sorted(s.netlist.name for s in pipeline.stages)
+
+    def test_chunked_stage_computes_nominal_once(self, monkeypatch, variation_combined):
+        stage = PipelineStage("s", inverter_chain(5))
+        calls = self._count_nominal_calls(monkeypatch)
+        MonteCarloEngine(
+            variation_combined, n_samples=100, seed=4, chunk_size=16
+        ).run_stage(stage)
+        assert len(calls) == 1
+
+    def test_samples_match_per_chunk_recompute(self, monkeypatch, variation_combined):
+        pipeline = inverter_chain_pipeline(3, 6)
+        stage = PipelineStage("s", inverter_chain(5))
+
+        def engine():
+            return MonteCarloEngine(
+                variation_combined, n_samples=100, seed=4, chunk_size=16
+            )
+
+        hoisted = engine().run_pipeline(pipeline).stage_samples
+        hoisted_stage = engine().run_stage(stage).samples
+        self._recompute_per_chunk(monkeypatch)
+        per_chunk = engine().run_pipeline(pipeline).stage_samples
+        per_chunk_stage = engine().run_stage(stage).samples
+        assert np.array_equal(hoisted, per_chunk)
+        assert np.array_equal(hoisted_stage, per_chunk_stage)

@@ -239,3 +239,130 @@ class TestTypedErrors:
         # str() is the plain message, not KeyError's repr-quoted form.
         assert not str(err.value).startswith('"')
         assert "cannot mark unknown gate" in str(err.value)
+
+
+class TestPrimaryInputNames:
+    def test_gate_named_like_an_input_rejected(self):
+        from repro.circuit.netlist import NetlistError
+
+        netlist = build_diamond()
+        with pytest.raises(NetlistError):
+            netlist.add_gate("a", "INV", ["top"])
+
+    def test_input_named_like_a_gate_rejected(self):
+        from repro.circuit.netlist import NetlistError
+
+        netlist = build_diamond()
+        with pytest.raises(NetlistError):
+            netlist.add_primary_input("out")
+
+    def test_fanins_may_name_any_input(self):
+        netlist = Netlist("inputs")
+        for name in ("a", "b", "c"):
+            netlist.add_primary_input(name)
+        netlist.add_gate("g", "NAND3", ["c", "a", "b"])
+        netlist.add_gate("h", "NAND2", ["g", "b"])
+        netlist.mark_primary_output("h")
+        assert netlist.gate("g").fanins == ("c", "a", "b")
+        assert netlist.logic_depth() == 2
+
+
+class TestGateViews:
+    def test_view_reads_columns(self):
+        netlist = build_diamond()
+        netlist.add_gate("late", "NOR2", ["out", "a"], size=2.5, x=0.125, y=0.75)
+        gate = netlist.gate("late")
+        assert (gate.name, gate.cell, gate.fanins) == ("late", "NOR2", ("out", "a"))
+        assert (gate.size, gate.x, gate.y) == (2.5, 0.125, 0.75)
+        assert list(netlist.gates) == ["top", "bottom", "out", "late"]
+        assert [g.cell for g in netlist.gates.values()] == ["INV", "INV", "NAND2", "NOR2"]
+
+    def test_gates_mapping_is_read_only(self):
+        netlist = build_diamond()
+        with pytest.raises(TypeError):
+            netlist.gates["top"] = netlist.gate("bottom")
+        with pytest.raises(TypeError):
+            del netlist.gates["top"]
+        assert "top" in netlist.gates and "a" not in netlist.gates
+        with pytest.raises(KeyError):
+            netlist.gate("a")
+
+
+def _snapshot(netlist: Netlist) -> dict:
+    xs, ys = netlist.positions()
+    snapshot = {"sizes": netlist.sizes(), "xs": xs, "ys": ys,
+                "loads": netlist.load_capacitances()}
+    snapshot.update(netlist.cell_coefficients())
+    return snapshot
+
+
+def _assert_same(left: dict, right: dict) -> None:
+    assert left.keys() == right.keys()
+    for key in left:
+        assert np.array_equal(left[key], right[key]), key
+
+
+#: Every mutation the accessor caches must notice.
+MUTATIONS = {
+    "set_sizes": lambda n: n.set_sizes(np.array([2.0, 3.0, 1.5])),
+    "gate_size": lambda n: setattr(n.gate("out"), "size", 4.0),
+    "gate_x": lambda n: setattr(n.gate("top"), "x", 0.875),
+    "gate_y": lambda n: setattr(n.gate("bottom"), "y", 0.125),
+    "auto_place": lambda n: n.auto_place((0.25, 0.0, 0.5, 1.0)),
+    "add_gate": lambda n: n.add_gate("extra", "NOR2", ["top", "out"], size=2.0),
+    "mark_primary_output": lambda n: n.mark_primary_output("top"),
+}
+
+
+class TestAccessorCaches:
+    @pytest.mark.parametrize("mutation", sorted(MUTATIONS))
+    def test_mutation_shows_in_next_query(self, mutation):
+        queried = build_diamond()
+        before = _snapshot(queried)
+        MUTATIONS[mutation](queried)
+        # The same edit on a netlist that never cached anything.
+        fresh = build_diamond()
+        MUTATIONS[mutation](fresh)
+        after = _snapshot(queried)
+        _assert_same(after, _snapshot(fresh))
+        changed = [
+            key for key in after
+            if after[key].shape != before[key].shape
+            or not np.array_equal(after[key], before[key])
+        ]
+        assert changed, mutation
+
+    def test_returned_arrays_are_copies(self):
+        netlist = build_diamond()
+        before = _snapshot(netlist)
+        for value in _snapshot(netlist).values():
+            value[:] = 7
+        coefficients = netlist.cell_coefficients()
+        coefficients["logical_effort"] = np.zeros(3)
+        del coefficients["area_factor"]
+        _assert_same(_snapshot(netlist), before)
+        assert netlist.total_area() == pytest.approx(
+            float((before["area_factor"] * netlist.technology.area_unit).sum())
+        )
+
+    def test_size_array_can_be_held_across_set_sizes(self):
+        netlist = build_diamond()
+        original = netlist.sizes()
+        netlist.set_sizes(2.0 * original)
+        assert np.array_equal(original, np.ones(3))
+        netlist.set_sizes(original)
+        assert np.array_equal(netlist.sizes(), original)
+
+    def test_copy_stays_deep_both_ways(self):
+        netlist = build_diamond()
+        before = _snapshot(netlist)
+        clone = netlist.copy("clone")
+        for mutation in MUTATIONS.values():
+            mutation(clone)
+        _assert_same(_snapshot(netlist), before)
+        assert "extra" not in netlist and "extra" in clone
+        assert netlist.primary_outputs == ["out"]
+        clone_before = _snapshot(clone)
+        netlist.set_sizes(np.array([5.0, 5.0, 5.0]))
+        netlist.gate("top").x = 0.0
+        _assert_same(_snapshot(clone), clone_before)

@@ -89,3 +89,21 @@ class TestSampling:
         model = SpatialCorrelationModel(grid_size=4)
         index = model.cell_index(1.5, -0.2)
         assert 0 <= int(index) < model.n_cells
+
+
+class TestSharedFactor:
+    def test_models_share_one_read_only_factor(self):
+        first = SpatialCorrelationModel(grid_size=8, correlation_length=0.5)
+        second = SpatialCorrelationModel(grid_size=8, correlation_length=0.5)
+        other = SpatialCorrelationModel(grid_size=8, correlation_length=0.3)
+        assert first._cholesky is second._cholesky
+        assert other._cholesky is not first._cholesky
+        assert not first._cholesky.flags.writeable
+
+    def test_sample_cells_bit_identical_to_fresh_factor(self):
+        model = SpatialCorrelationModel(grid_size=6, correlation_length=0.4)
+        corr = model.correlation_matrix()
+        factor = np.linalg.cholesky(corr + 1e-10 * np.eye(corr.shape[0]))
+        white = np.random.default_rng(11).standard_normal((64, model.n_cells))
+        cells = model.sample_cells(64, np.random.default_rng(11))
+        assert np.array_equal(cells, white @ factor.T)
