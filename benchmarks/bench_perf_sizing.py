@@ -1,7 +1,6 @@
 """Micro-benchmark: optimizer hot paths through the Design API.
 
-Times the statistical sizers on ISCAS stages, the incremental-STA sizer
-inner loop against full per-move recomputation on a 20k-gate generated
+Times the statistical sizers on ISCAS stages and on a 20k-gate generated
 block, and the Design API's cached design flow (balanced baseline reuse
 across optimizers, per-(stage, sizer) area--delay curve reuse, memoized
 design reports), and writes the timings to
@@ -22,8 +21,6 @@ from __future__ import annotations
 import json
 import pathlib
 
-import numpy as np
-
 from bench_utils import timed_seconds
 
 RESULTS_DIR = pathlib.Path(__file__).parent / "results"
@@ -31,11 +28,11 @@ RESULTS_DIR = pathlib.Path(__file__).parent / "results"
 STAGE_YIELD = 0.95
 SPEEDUP = 0.85
 
-#: The large generated block for the incremental-STA sizer floor.
+#: The large generated block for the sizer timings.
 LARGE_GATES = 20_000
 LARGE_DEPTH = 48
-#: Sizer options sized so the full-recompute baseline stays affordable in
-#: CI while still iterating enough for the per-move cost to dominate.
+#: Sizer options sized so each run stays affordable in CI while still
+#: iterating enough for the per-move cost to dominate.
 LARGE_SIZER_RUNS = (
     ("lagrangian", {"max_outer": 40, "sweeps_per_outer": 1, "sigma_refresh": 1000}),
     ("greedy", {"max_moves": 150, "sigma_refresh": 1000}),
@@ -88,8 +85,7 @@ def run_benchmark() -> dict:
         report["sizers"][sizer_name] = stages
 
     # ------------------------------------------------------------------
-    # Incremental STA floor: both sizers on a 20k-gate generated block,
-    # incremental=True vs incremental=False, identical results required.
+    # Both sizers on a 20k-gate generated block.
     # ------------------------------------------------------------------
     from repro.circuit.generators import random_logic_block
 
@@ -109,40 +105,18 @@ def run_benchmark() -> dict:
         "sizers": {},
     }
     for sizer_name, options in LARGE_SIZER_RUNS:
-        reference_sizer = make_sizer(sizer_name, technology, variation, **options)
-        target = SPEEDUP * reference_sizer.stage_distribution(
-            large_stage
-        ).delay_at_yield(STAGE_YIELD)
-        runs = {}
-        results = {}
-        for mode in ("incremental", "full"):
-            sizer = make_sizer(
-                sizer_name,
-                technology,
-                variation,
-                incremental=(mode == "incremental"),
-                **options,
-            )
-            seconds, result = timed_seconds(
-                sizer.size_stage, large_stage, target, STAGE_YIELD, apply=False
-            )
-            results[mode] = result
-            runs[mode] = {
-                "seconds": seconds,
-                "iterations": result.iterations,
-                "gates_per_second": LARGE_GATES * result.iterations / max(seconds, 1e-9),
-            }
-        # The incremental path must be a pure optimisation: bit-identical
-        # sizes, same trajectory length, same area.
-        assert np.array_equal(
-            results["incremental"].sizes, results["full"].sizes
-        ), sizer_name
-        assert results["incremental"].iterations == results["full"].iterations
-        assert results["incremental"].area == results["full"].area
-        runs["speedup"] = runs["full"]["seconds"] / max(
-            runs["incremental"]["seconds"], 1e-9
+        sizer = make_sizer(sizer_name, technology, variation, **options)
+        target = SPEEDUP * sizer.stage_distribution(large_stage).delay_at_yield(
+            STAGE_YIELD
         )
-        report["large_block"]["sizers"][sizer_name] = runs
+        seconds, result = timed_seconds(
+            sizer.size_stage, large_stage, target, STAGE_YIELD, apply=False
+        )
+        report["large_block"]["sizers"][sizer_name] = {
+            "seconds": seconds,
+            "iterations": result.iterations,
+            "gates_per_second": LARGE_GATES * result.iterations / max(seconds, 1e-9),
+        }
 
     # ------------------------------------------------------------------
     # Design-API hot path: session caching across optimizers and repeats.
@@ -189,13 +163,10 @@ def run_benchmark() -> dict:
 
 
 def test_perf_sizing():
-    """Caching and incremental-STA floors.
+    """Caching floors.
 
-    Memoized reports are effectively free, caches hit, and on the 20k-gate
-    block both sizers' inner loops must run at least 3x faster through the
-    incremental engine than through per-move full recomputation (the
-    results themselves are asserted bit-identical inside the benchmark;
-    the large block is a speed probe, so no met_target floor applies).
+    Memoized reports are effectively free and caches hit.  The 20k-gate
+    block is a speed probe only, so no floor or met_target check applies.
     """
     report = run_benchmark()
     api = report["design_api"]
@@ -206,8 +177,6 @@ def test_perf_sizing():
     for sizer_name, stages in report["sizers"].items():
         for stage_name, stats in stages.items():
             assert stats["met_target"], (sizer_name, stage_name, stats)
-    for sizer_name, runs in report["large_block"]["sizers"].items():
-        assert runs["speedup"] >= 3.0, (sizer_name, runs)
 
 
 if __name__ == "__main__":

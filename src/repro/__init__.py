@@ -115,8 +115,6 @@ from repro.serve import (
     StudyServer,
 )
 from repro.process.variation import VariationModel
-from repro.timing.incremental import IncrementalTimer, SizingState
-from repro.timing.kernels import KernelConfig
 from repro.timing.ssta import StatisticalTimingAnalyzer
 from repro.verify import ConformanceReport, Scenario, ScenarioFuzzer, run_conformance
 
@@ -174,9 +172,6 @@ __all__ = [
     "default_technology",
     "VariationModel",
     "StatisticalTimingAnalyzer",
-    "IncrementalTimer",
-    "KernelConfig",
-    "SizingState",
     "ConformanceReport",
     "Scenario",
     "ScenarioFuzzer",

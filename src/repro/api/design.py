@@ -33,6 +33,7 @@ addressable from any :class:`~repro.api.spec.DesignSpec` by name.
 
 from __future__ import annotations
 
+import inspect
 import json
 from dataclasses import dataclass, fields
 from typing import TYPE_CHECKING, Any, Mapping, Protocol, runtime_checkable
@@ -49,7 +50,7 @@ from repro.optimize.global_opt import (
 )
 from repro.optimize.redistribute import redistribute_area
 from repro.optimize.result import SizingResult
-from repro.optimize.sizers import StageSizer
+from repro.optimize.sizers import StageSizer, get_sizer_factory
 from repro.pipeline.pipeline import Pipeline
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
@@ -422,6 +423,24 @@ def get_optimizer(name: str) -> PipelineOptimizer:
 def available_optimizers() -> tuple[str, ...]:
     """Names of all registered optimizers, sorted."""
     return tuple(sorted(_OPTIMIZERS))
+
+
+def check_design(design: DesignSpec) -> None:
+    """Reject a design whose optimizer, sizer or sizer options cannot run.
+
+    Looks up both registry names (``KeyError`` naming the alternatives) and
+    binds ``sizer_options`` against the sizer factory's signature
+    (``TypeError`` naming the option), so a bad spec fails before any
+    compute starts.
+    """
+    get_optimizer(design.optimizer)
+    factory = get_sizer_factory(design.sizer)
+    try:
+        inspect.signature(factory).bind(None, None, **dict(design.sizer_options))
+    except TypeError as exc:
+        raise TypeError(
+            f"bad sizer_options for sizer {design.sizer!r}: {exc}"
+        ) from None
 
 
 # ----------------------------------------------------------------------

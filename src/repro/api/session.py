@@ -56,7 +56,6 @@ from repro.optimize.sizers import StageSizer, make_sizer
 from repro.pipeline.pipeline import Pipeline
 from repro.process.technology import Technology, default_technology
 from repro.process.variation import VariationModel
-from repro.timing.kernels import KernelConfig, resolve_config
 from repro.timing.ssta import StatisticalTimingAnalyzer
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -97,13 +96,6 @@ class Session:
         write every freshly computed report back, so reports survive across
         sessions and processes.  ``store_hits`` / ``store_writes`` count the
         traffic.
-    kernel:
-        Propagation kernel tier (:class:`~repro.timing.kernels.KernelConfig`,
-        a kernel name, or ``None`` for the environment default) handed to
-        every Monte-Carlo engine and SSTA analyzer the session builds.
-        Purely an execution knob -- the threaded tier is bit-identical to
-        the vectorized one -- so it is deliberately excluded from every
-        cache key.
 
     Notes
     -----
@@ -119,14 +111,10 @@ class Session:
         technology: Technology | None = None,
         root_seed: int = DEFAULT_ROOT_SEED,
         store: "CheckpointStore | None" = None,
-        kernel: "KernelConfig | str | None" = None,
     ) -> None:
         self.technology = technology if technology is not None else default_technology()
         self.root_seed = int(root_seed)
         self.store = store
-        # Execution-side knob only: the threaded tier is bit-identical to the
-        # vectorized one, so the kernel choice never enters any cache key.
-        self.kernel_config = resolve_config(kernel)
         self.store_hits = 0
         self.store_writes = 0
         self.store_io_seconds = 0.0
@@ -214,7 +202,6 @@ class Session:
                 seed=seed,
                 grid_size=analysis.grid_size,
                 chunk_size=analysis.chunk_size,
-                kernel=self.kernel_config,
             )
             run = engine.run_pipeline(self.pipeline(pipeline_spec))
             self._mc_runs[key] = run
@@ -234,7 +221,6 @@ class Session:
                 self.variation(variation_spec),
                 grid_size=analysis.grid_size,
                 variance_coverage=analysis.variance_coverage,
-                kernel=self.kernel_config,
             )
             self._analyzers[key] = analyzer
         return analyzer
@@ -379,7 +365,6 @@ class Session:
             seed=seed,
             grid_size=analysis.grid_size,
             chunk_size=analysis.chunk_size,
-            kernel=self.kernel_config,
         )
         report = delay_report_from_pipeline_run(engine.run_pipeline(pipeline))
         if key is not None:

@@ -9,9 +9,10 @@ For every Monte-Carlo sample (die realisation) the engine:
    ``1 / sqrt(size)``,
 4. converts the resulting per-device threshold voltages and channel lengths
    into gate delays with the alpha-power-law model,
-5. propagates arrival times through each stage's netlist (vectorised over
-   samples) to obtain the combinational delay, and adds the stage's
-   register overhead sampled from its own device,
+5. propagates arrival times through each stage's netlist to obtain the
+   combinational delay (one :func:`~repro.timing.sta.max_delay` call per
+   stage and chunk, vectorised over samples in cache-sized row blocks), and
+   adds the stage's register overhead sampled from its own device,
 6. records per-stage delay samples; the pipeline delay of each sample is the
    maximum over stages.
 
@@ -35,7 +36,6 @@ from repro.process.sampling import ParameterSampler
 from repro.process.technology import Technology, default_technology
 from repro.process.variation import VariationModel
 from repro.timing.delay_model import GateDelayModel
-from repro.timing.kernels import KernelConfig, resolve_config
 from repro.timing.sta import max_delay
 
 
@@ -65,12 +65,6 @@ class MonteCarloEngine:
         different order, so their individual samples differ for a fixed seed
         (the distributions are identical); a chunked run is reproducible for
         a fixed ``(seed, chunk_size)``.
-    kernel:
-        Propagation kernel tier for the sampled forward pass: a
-        :class:`~repro.timing.kernels.KernelConfig`, a kernel name
-        (``"auto"``/``"vectorized"``/``"threaded"``) or ``None`` for the
-        environment default.  Kernel choice never changes results (the
-        threaded tier is bit-identical), only how they are computed.
     """
 
     def __init__(
@@ -81,7 +75,6 @@ class MonteCarloEngine:
         seed: int | np.random.SeedSequence = 2005,
         grid_size: int = 8,
         chunk_size: int | None = None,
-        kernel: KernelConfig | str | None = None,
     ) -> None:
         if n_samples < 2:
             raise ValueError(f"n_samples must be at least 2, got {n_samples}")
@@ -95,7 +88,6 @@ class MonteCarloEngine:
         )
         self.grid_size = int(grid_size)
         self.chunk_size = int(chunk_size) if chunk_size is not None else None
-        self.kernel_config = resolve_config(kernel)
         self.delay_model = GateDelayModel(self.technology)
         self.sampler = ParameterSampler(self.technology, variation, grid_size=grid_size)
 
@@ -165,9 +157,7 @@ class MonteCarloEngine:
             )
             if workspace is not None:
                 workspace = workspace[: delays.shape[0]]
-            comb = np.asarray(
-                max_delay(netlist, delays, out=workspace, kernel=self.kernel_config)
-            )
+            comb = np.asarray(max_delay(netlist, delays, out=workspace))
         else:
             comb = np.zeros(vth.shape[0])
         overhead = stage.flipflop.overhead_samples(

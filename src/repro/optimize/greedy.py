@@ -27,7 +27,6 @@ from repro.pipeline.stage import PipelineStage
 from repro.process.technology import Technology
 from repro.process.variation import VariationModel
 from repro.timing.delay_model import GateDelayModel
-from repro.timing.incremental import SizingState
 from repro.timing.sta import arrival_times, critical_path
 from repro.timing.ssta import StatisticalTimingAnalyzer
 
@@ -35,13 +34,8 @@ from repro.timing.ssta import StatisticalTimingAnalyzer
 class GreedySizer:
     """Greedy (TILOS-style) statistical gate sizer for one stage.
 
-    ``incremental`` (default on) routes every arrival / critical-path /
-    load evaluation in the move loop through
-    :class:`~repro.timing.incremental.SizingState`, so each accepted move
-    re-propagates only its fanout cone instead of the whole DAG.  The
-    incremental state is bit-identical to full recomputation, so both
-    settings produce the same :class:`SizingResult` -- ``incremental=False``
-    survives as the honest baseline for the perf benchmarks.
+    Every move re-evaluates nominal delays, arrivals, the critical path and
+    loads from scratch over the netlist's cached compiled schedule.
     """
 
     def __init__(
@@ -54,7 +48,6 @@ class GreedySizer:
         max_moves: int = 4000,
         sigma_refresh: int = 50,
         grid_size: int = 8,
-        incremental: bool = True,
     ) -> None:
         if min_size <= 0.0 or max_size < min_size:
             raise ValueError(
@@ -69,7 +62,6 @@ class GreedySizer:
         self.size_step = float(size_step)
         self.max_moves = int(max_moves)
         self.sigma_refresh = int(max(1, sigma_refresh))
-        self.incremental = bool(incremental)
         self.delay_model = GateDelayModel(technology)
         self.ssta = StatisticalTimingAnalyzer(technology, variation, grid_size=grid_size)
 
@@ -111,22 +103,13 @@ class GreedySizer:
         k_yield = float(norm.ppf(target_yield))
 
         sizes = np.full(n_gates, self.min_size)
-        # The incremental state owns the size vector: moves are applied
-        # through state.resize so loads/delays/arrivals stay in sync.
-        state = SizingState(netlist, tech, sizes) if self.incremental else None
-        if state is not None:
-            sizes = state.sizes
 
         def statistical_budget(current_sizes: np.ndarray) -> float:
             """Deterministic arrival budget implied by the statistical target
             (see :class:`~repro.optimize.lagrangian.LagrangianSizer`)."""
             form = self._stage_form(stage, current_sizes)
-            if state is not None:
-                worst = state.worst_arrival()
-            else:
-                nominal = self.delay_model.nominal_delays(netlist, current_sizes)
-                arrivals = arrival_times(netlist, nominal)
-                worst = float(arrivals[output_mask].max())
+            nominal = self.delay_model.nominal_delays(netlist, current_sizes)
+            worst = float(arrival_times(netlist, nominal)[output_mask].max())
             statistical_delay = form.mean + k_yield * form.sigma
             guard = 0.004 * target_delay
             value = worst + (target_delay - statistical_delay) - guard
@@ -136,26 +119,16 @@ class GreedySizer:
 
         moves = 0
         while moves < self.max_moves:
-            if state is not None:
-                worst_arrival = state.worst_arrival()
-            else:
-                nominal = self.delay_model.nominal_delays(netlist, sizes)
-                arrivals = arrival_times(netlist, nominal)
-                worst_arrival = float(arrivals[output_mask].max())
-            if worst_arrival <= budget:
+            nominal = self.delay_model.nominal_delays(netlist, sizes)
+            arrivals = arrival_times(netlist, nominal)
+            if float(arrivals[output_mask].max()) <= budget:
                 break
 
-            if state is not None:
-                path_positions = np.array(
-                    state.critical_path_positions(), dtype=np.int64
-                )
-                loads = state.loads
-            else:
-                path_names = critical_path(netlist, nominal, arrivals=arrivals)
-                path_positions = np.array(
-                    [index_of[name] for name in path_names], dtype=np.int64
-                )
-                loads = netlist.load_capacitances(sizes)
+            path_names = critical_path(netlist, nominal, arrivals=arrivals)
+            path_positions = np.array(
+                [index_of[name] for name in path_names], dtype=np.int64
+            )
+            loads = netlist.load_capacitances(sizes)
             on_path = np.zeros(n_gates, dtype=bool)
             on_path[path_positions] = True
 
@@ -190,10 +163,7 @@ class GreedySizer:
                 # No move improves the critical path; the target is infeasible
                 # within the size bounds.
                 break
-            if state is not None:
-                state.resize(int(path_positions[best]), float(proposed[best]))
-            else:
-                sizes[path_positions[best]] = proposed[best]
+            sizes[path_positions[best]] = proposed[best]
             moves += 1
             if moves % self.sigma_refresh == 0:
                 budget = statistical_budget(sizes)

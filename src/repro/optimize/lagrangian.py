@@ -49,7 +49,6 @@ from repro.pipeline.stage import PipelineStage
 from repro.process.technology import Technology
 from repro.process.variation import VariationModel
 from repro.timing.delay_model import GateDelayModel
-from repro.timing.incremental import SizingState
 from repro.timing.sta import arrival_times, required_times
 from repro.timing.ssta import StatisticalTimingAnalyzer
 
@@ -74,12 +73,6 @@ class LagrangianSizer:
         smaller values concentrate the multipliers on the most critical gates.
     grid_size:
         Spatial-correlation grid resolution for the embedded SSTA.
-    incremental:
-        Route the outer loop's arrival / required / area evaluations through
-        :class:`~repro.timing.incremental.SizingState` (cell coefficients
-        cached once, dirty-cone timing updates after each sweep).  The
-        incremental state is bit-identical to full recomputation, so both
-        settings produce the same :class:`SizingResult`.
     """
 
     def __init__(
@@ -93,7 +86,6 @@ class LagrangianSizer:
         sigma_refresh: int = 5,
         temperature_fraction: float = 0.04,
         grid_size: int = 8,
-        incremental: bool = True,
     ) -> None:
         if min_size <= 0.0 or max_size < min_size:
             raise ValueError(
@@ -109,7 +101,6 @@ class LagrangianSizer:
         self.sweeps_per_outer = int(sweeps_per_outer)
         self.sigma_refresh = int(max(1, sigma_refresh))
         self.temperature_fraction = float(temperature_fraction)
-        self.incremental = bool(incremental)
         self.delay_model = GateDelayModel(technology)
         self.ssta = StatisticalTimingAnalyzer(technology, variation, grid_size=grid_size)
 
@@ -242,13 +233,6 @@ class LagrangianSizer:
         else:
             sizes = np.clip(np.asarray(initial_sizes, dtype=float), self.min_size, self.max_size)
 
-        # The incremental state caches the cell coefficients once and keeps
-        # loads/delays/arrivals/required in sync with `sizes` through exact
-        # dirty-cone updates (bit-identical to the full recomputation below).
-        state = SizingState(netlist, tech, sizes) if self.incremental else None
-        if state is not None:
-            sizes = state.sizes
-
         def statistical_budget(current_sizes: np.ndarray) -> float:
             """Deterministic arrival budget implied by the statistical target.
 
@@ -262,12 +246,8 @@ class LagrangianSizer:
             by round-off between the two views.
             """
             form = self._stage_form(stage, current_sizes)
-            if state is not None:
-                worst = state.worst_arrival()
-            else:
-                nominal = self.delay_model.nominal_delays(netlist, current_sizes)
-                arrivals = arrival_times(netlist, nominal)
-                worst = float(arrivals[output_mask].max())
+            nominal = self.delay_model.nominal_delays(netlist, current_sizes)
+            worst = float(arrival_times(netlist, nominal)[output_mask].max())
             statistical_delay = form.mean + k_yield * form.sigma
             guard = 0.004 * target_delay
             return worst + (target_delay - statistical_delay) - guard
@@ -276,7 +256,7 @@ class LagrangianSizer:
         budget = statistical_budget(sizes)
 
         lam = np.ones(n_gates)
-        loads = state.loads if state is not None else netlist.load_capacitances(sizes)
+        loads = netlist.load_capacitances(sizes)
         scale = float(np.median(area_coeff)) / max(
             float(tech.r_unit * np.median(loads)), 1e-30
         )
@@ -287,20 +267,14 @@ class LagrangianSizer:
         fastest_arrival = np.inf
         fastest_sizes = sizes.copy()
         stable_iterations = 0
-        previous_area = (
-            state.total_area() if state is not None else netlist.total_area(sizes)
-        )
+        previous_area = netlist.total_area(sizes)
         iterations_used = 0
 
         for outer in range(self.max_outer):
             iterations_used = outer + 1
-            if state is not None:
-                arrivals = state.arrivals()
-                worst_arrival = state.worst_arrival()
-            else:
-                nominal = self.delay_model.nominal_delays(netlist, sizes)
-                arrivals = arrival_times(netlist, nominal)
-                worst_arrival = float(arrivals[output_mask].max())
+            nominal = self.delay_model.nominal_delays(netlist, sizes)
+            arrivals = arrival_times(netlist, nominal)
+            worst_arrival = float(arrivals[output_mask].max())
 
             if outer > 0 and outer % self.sigma_refresh == 0:
                 budget = statistical_budget(sizes)
@@ -313,10 +287,7 @@ class LagrangianSizer:
             else:
                 effective_budget = budget
 
-            if state is not None:
-                slack = state.required(effective_budget) - arrivals
-            else:
-                slack = required_times(netlist, nominal, effective_budget) - arrivals
+            slack = required_times(netlist, nominal, effective_budget) - arrivals
             worst_slack = float(slack[output_mask].min())
 
             # Multiplier updates: per-gate criticality plus global scale.
@@ -335,21 +306,14 @@ class LagrangianSizer:
                 sizes = self._resize_sweep(
                     netlist, sizes, weights, area_coeff, input_cap_unit
                 )
-            if state is not None:
-                state.set_sizes(sizes)
-                sizes = state.sizes
 
             # Track the best (smallest-area) solution that meets the budget
             # and the fastest solution seen, both evaluated at the freshly
             # resized design.
-            if state is not None:
-                resized_worst = state.worst_arrival()
-                area_after = state.total_area()
-            else:
-                resized_delays = self.delay_model.nominal_delays(netlist, sizes)
-                resized_arrivals = arrival_times(netlist, resized_delays)
-                resized_worst = float(resized_arrivals[output_mask].max())
-                area_after = netlist.total_area(sizes)
+            resized_delays = self.delay_model.nominal_delays(netlist, sizes)
+            resized_arrivals = arrival_times(netlist, resized_delays)
+            resized_worst = float(resized_arrivals[output_mask].max())
+            area_after = netlist.total_area(sizes)
             if resized_worst <= effective_budget and area_after < best_area:
                 best_area = area_after
                 best_sizes = sizes.copy()

@@ -66,6 +66,7 @@ from dataclasses import dataclass, field
 from typing import Any, Mapping
 
 from repro.api.canonical import resolved_store_spec, spec_digest, spec_from_wire
+from repro.api.design import check_design
 from repro.api.session import Session
 from repro.api.spec import DesignStudySpec, ExecutionPolicy, StudySpec
 from repro.robust.executor import SweepTask, execute_tasks
@@ -395,7 +396,10 @@ class StudyServer:
             )
         cls = StudySpec if kind == "study" else DesignStudySpec
         try:
-            return cls.from_dict(payload)
+            spec = cls.from_dict(payload)
+            if kind == "design":
+                check_design(spec.design)
+            return spec
         except (ValueError, TypeError, KeyError) as exc:
             self.stats.rejected_invalid += 1
             raise _Rejection(

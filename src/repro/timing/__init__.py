@@ -6,24 +6,23 @@
   deviations and first-order sensitivity extraction for statistical timing.
 * :mod:`repro.timing.sta` -- deterministic static timing analysis (arrival
   times, maximum delay, critical path) over a :class:`~repro.circuit.netlist.Netlist`;
-  also accepts per-sample delay matrices so the Monte-Carlo engine can reuse it.
+  also accepts per-sample delay matrices, propagated in cache-sized blocks of
+  sample rows, so the Monte-Carlo engine can reuse it.
 * :mod:`repro.timing.ssta` -- block-based statistical static timing analysis
   using first-order canonical delay forms (global factors: inter-die Vth and
   length, principal components of the spatially correlated field; plus an
   independent random part) combined with Clark's max operator.
 * :mod:`repro.timing.paths` -- critical-path extraction, slack and
   near-critical path counting.
-* :mod:`repro.timing.incremental` -- incremental STA: dirty-cone
-  arrival/required propagation with exact cutoff (:class:`IncrementalTimer`)
-  and the coefficient-cached sizer state (:class:`SizingState`).
-* :mod:`repro.timing.kernels` -- kernel-tier selection
-  (:class:`KernelConfig`): vectorized vs threaded row-chunked propagation
-  with auto-selection by problem size.
+* :mod:`repro.timing.reference` -- the retained gate-at-a-time seed
+  implementations the level-parallel kernels are checked against.
+
+Each analysis has one code path: the kernels are single-threaded NumPy over
+the netlist's compiled schedule, and the sizers re-run full STA for every
+evaluation (see DESIGN.md, "One timing path").
 """
 
 from repro.timing.delay_model import GateDelayModel
-from repro.timing.incremental import IncrementalTimer, SizingState
-from repro.timing.kernels import KernelConfig
 from repro.timing.sta import (
     arrival_times,
     critical_path,
@@ -35,9 +34,6 @@ from repro.timing.ssta import CanonicalForm, StatisticalTimingAnalyzer
 
 __all__ = [
     "GateDelayModel",
-    "IncrementalTimer",
-    "KernelConfig",
-    "SizingState",
     "arrival_times",
     "max_delay",
     "critical_path",

@@ -41,7 +41,6 @@ from repro.process.spatial import SpatialCorrelationModel
 from repro.process.technology import Technology
 from repro.process.variation import VariationModel
 from repro.timing.delay_model import GateDelayModel
-from repro.timing.kernels import KernelConfig, resolve_config, shared_executor, split_rows
 
 # Relative threshold below which the variance of (A - B) is treated as zero
 # and the max degenerates to the larger-mean form (unit independent).
@@ -210,11 +209,6 @@ class StatisticalTimingAnalyzer:
     variance_coverage:
         Fraction of the spatial field's variance the retained principal
         components must explain (1.0 keeps all of them).
-    kernel:
-        Kernel-tier selection for :meth:`arrival_components`: a
-        :class:`~repro.timing.kernels.KernelConfig`, a tier name or ``None``
-        for the process default.  Gates within a level are independent, so
-        the threaded tier chunks wide levels across the shared timing pool.
     """
 
     def __init__(
@@ -223,7 +217,6 @@ class StatisticalTimingAnalyzer:
         variation: VariationModel,
         grid_size: int = 8,
         variance_coverage: float = 0.995,
-        kernel: KernelConfig | str | None = None,
     ) -> None:
         if not 0.0 < variance_coverage <= 1.0:
             raise ValueError(
@@ -231,7 +224,6 @@ class StatisticalTimingAnalyzer:
             )
         self.technology = technology
         self.variation = variation
-        self.kernel_config = resolve_config(kernel)
         self.delay_model = GateDelayModel(technology)
         self.spatial = SpatialCorrelationModel(
             grid_size=grid_size, correlation_length=variation.correlation_length
@@ -305,13 +297,9 @@ class StatisticalTimingAnalyzer:
         each level the pairwise Clark fold over every gate's fanins is
         batched by fanin rank: one :func:`_max_arrays_batch` call folds the
         ``j``-th fanin of all gates in the level simultaneously, preserving
-        the per-gate left-to-right pin order of the scalar reference.
-
-        When the threaded kernel tier is selected, wide levels are chunked
-        into contiguous gate spans across the shared timing pool -- each
-        gate's fold only reads lower-level arrivals and writes its own row,
-        so chunks are independent and the result matches the vectorized fold
-        per gate.
+        the per-gate left-to-right pin order of the scalar reference.  The
+        plan sorts the level's gates by fanin count, so the gates still
+        folding their rank-``j`` fanin are always a prefix of the level.
         """
         means, sens, rands = self.gate_delay_components(netlist, sizes)
         schedule = netlist.timing_schedule()
@@ -319,8 +307,6 @@ class StatisticalTimingAnalyzer:
         arr_mean = np.zeros(n_gates)
         arr_sens = np.zeros((n_gates, self.n_factors))
         arr_rand = np.zeros(n_gates)
-        state = (arr_mean, arr_sens, arr_rand, means, sens, rands)
-        row_bytes = 8 * (self.n_factors + 2)
         for plan in schedule.level_plans:
             gates = plan.gates
             if plan.edge_cols is None:
@@ -329,38 +315,14 @@ class StatisticalTimingAnalyzer:
                 arr_sens[gates] = sens[gates]
                 arr_rand[gates] = rands[gates]
                 continue
-            workers = self.kernel_config.resolve(plan.width, row_bytes)
-            if workers > 1:
-                executor = shared_executor(workers)
-                futures = [
-                    executor.submit(self._fold_level_span, plan, state, lo, hi)
-                    for lo, hi in split_rows(plan.width, workers)
-                ]
-                for future in futures:
-                    future.result()
-            else:
-                self._fold_level_span(plan, state, 0, plan.width)
-        return arr_mean, arr_sens, arr_rand
-
-    @staticmethod
-    def _fold_level_span(plan, state, lo: int, hi: int) -> None:
-        """Fold the fanin ranks for the ``[lo, hi)`` span of one level's gates.
-
-        The plan sorts the level's gates by fanin count, so the gates still
-        folding their rank-``j`` fanin are always the ``:k`` prefix; within a
-        span that prefix clips to ``[lo, min(k, hi))``.
-        """
-        arr_mean, arr_sens, arr_rand, means, sens, rands = state
-        cols = plan.edge_cols
-        first = cols[lo:hi]
-        acc_mean = arr_mean[first]
-        acc_sens = arr_sens[first]
-        acc_rand = arr_rand[first]
-        offset = plan.width
-        for k in plan.rank_counts:
-            count = min(k, hi) - lo
-            if count > 0:
-                nxt = cols[offset + lo : offset + lo + count]
+            cols = plan.edge_cols
+            first = cols[: plan.width]
+            acc_mean = arr_mean[first]
+            acc_sens = arr_sens[first]
+            acc_rand = arr_rand[first]
+            offset = plan.width
+            for count in plan.rank_counts:
+                nxt = cols[offset : offset + count]
                 folded = _max_arrays_batch(
                     acc_mean[:count],
                     acc_sens[:count],
@@ -370,11 +332,11 @@ class StatisticalTimingAnalyzer:
                     arr_rand[nxt],
                 )
                 acc_mean[:count], acc_sens[:count], acc_rand[:count] = folded
-            offset += k
-        gates = plan.gates[lo:hi]
-        arr_mean[gates] = acc_mean + means[gates]
-        arr_sens[gates] = acc_sens + sens[gates]
-        arr_rand[gates] = np.hypot(acc_rand, rands[gates])
+                offset += count
+            arr_mean[gates] = acc_mean + means[gates]
+            arr_sens[gates] = acc_sens + sens[gates]
+            arr_rand[gates] = np.hypot(acc_rand, rands[gates])
+        return arr_mean, arr_sens, arr_rand
 
     def combinational_delay(
         self, netlist: Netlist, sizes: np.ndarray | None = None

@@ -22,7 +22,6 @@ from __future__ import annotations
 import numpy as np
 
 from repro.circuit.netlist import Netlist
-from repro.timing.kernels import KernelConfig, resolve_config, shared_executor, split_rows
 
 
 # Sample-block byte target for the 2-D kernel: one arrival block plus one
@@ -64,7 +63,7 @@ def _propagate_block(schedule, delays: np.ndarray, arrivals: np.ndarray) -> None
 def _propagate_rows(
     schedule, delays: np.ndarray, arrivals: np.ndarray, block: int
 ) -> None:
-    """Forward-propagate a contiguous span of sample rows in L2-sized blocks."""
+    """Forward-propagate ``(n_rows, n_gates)`` sample rows in L2-sized blocks."""
     n_rows = delays.shape[0]
     for start in range(0, n_rows, block):
         stop = min(start + block, n_rows)
@@ -75,7 +74,6 @@ def arrival_times(
     netlist: Netlist,
     gate_delays: np.ndarray,
     out: np.ndarray | None = None,
-    kernel: KernelConfig | str | None = None,
 ) -> np.ndarray:
     """Arrival time at the output of every gate.
 
@@ -91,13 +89,6 @@ def arrival_times(
         Streaming callers (the chunked Monte-Carlo engine, the sizers' inner
         loops) pass a reused workspace here: for large sample blocks the
         page-fault cost of a fresh allocation rivals the propagation itself.
-    kernel:
-        Kernel-tier selection for the 2-D path: a
-        :class:`~repro.timing.kernels.KernelConfig`, a tier name
-        (``"auto"``/``"vectorized"``/``"threaded"``) or ``None`` for the
-        process default.  Sample rows are independent, so the threaded tier
-        splits them into contiguous spans across a shared thread pool and is
-        bit-identical to the vectorized tier.  Ignored for 1-D delays.
 
     Returns
     -------
@@ -132,25 +123,8 @@ def arrival_times(
     # 2-D: process sample rows in cache-sized blocks.  Gates in one level are
     # mutually independent, so each block streams through the level sequence
     # with its whole working set resident in L2.
-    n_samples = gate_delays.shape[0]
     block = max(16, _BLOCK_BYTES // max(8 * schedule.n_gates, 1))
-    workers = resolve_config(kernel).resolve(n_samples, 8 * schedule.n_gates)
-    if workers > 1:
-        executor = shared_executor(workers)
-        futures = [
-            executor.submit(
-                _propagate_rows,
-                schedule,
-                gate_delays[start:stop],
-                arrivals[start:stop],
-                block,
-            )
-            for start, stop in split_rows(n_samples, workers)
-        ]
-        for future in futures:
-            future.result()
-    else:
-        _propagate_rows(schedule, gate_delays, arrivals, block)
+    _propagate_rows(schedule, gate_delays, arrivals, block)
     return arrivals
 
 
@@ -158,19 +132,18 @@ def max_delay(
     netlist: Netlist,
     gate_delays: np.ndarray,
     out: np.ndarray | None = None,
-    kernel: KernelConfig | str | None = None,
 ) -> np.ndarray | float:
     """Maximum arrival time over the primary outputs.
 
     If no primary outputs are marked, the maximum over all gates is used
     (every path must terminate somewhere).
 
-    ``out`` is an optional arrival-time workspace and ``kernel`` the tier
-    selection, both forwarded to :func:`arrival_times`.
+    ``out`` is an optional arrival-time workspace, forwarded to
+    :func:`arrival_times`.
 
     Returns a scalar for 1-D delays, or an ``(n_samples,)`` array for 2-D.
     """
-    arrivals = arrival_times(netlist, gate_delays, out=out, kernel=kernel)
+    arrivals = arrival_times(netlist, gate_delays, out=out)
     mask = netlist.output_mask()
     if not mask.any():
         mask = np.ones(arrivals.shape[-1], dtype=bool)

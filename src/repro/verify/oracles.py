@@ -35,14 +35,6 @@ oracle                    fast path vs. reference
                           session's direct answer: injected flaky/persistent
                           failures must cost zero successful points and
                           surface as structured failures
-``incremental-sta``       :class:`~repro.timing.incremental.IncrementalTimer`
-                          / :class:`~repro.timing.incremental.SizingState`
-                          dirty-cone re-propagation vs. full-from-scratch
-                          kernels under randomized update sequences
-                          (bit-exact by construction)
-``threaded-2d``           the threaded row/gate-chunked kernel tier for 2-D
-                          sampled STA and SSTA component propagation vs. the
-                          single-threaded vectorized kernels
 ``parser-round-trip``     the :mod:`repro.circuit.ingest` emitters vs. their
                           parsers: emit -> parse must reproduce bit-identical
                           topological order, sizes, loads, schedule levels
@@ -191,12 +183,12 @@ def _invariant_check(
     )
 
 
-def _perturbed_delays(
-    nominal: np.ndarray, seed: int, rows: int = _STA_SAMPLE_ROWS
-) -> np.ndarray:
+def _perturbed_delays(nominal: np.ndarray, seed: int) -> np.ndarray:
     """A small batch of lognormally perturbed per-sample delay rows."""
     rng = np.random.default_rng(seed)
-    factors = np.exp(rng.normal(0.0, 0.15, size=(rows, nominal.shape[0])))
+    factors = np.exp(
+        rng.normal(0.0, 0.15, size=(_STA_SAMPLE_ROWS, nominal.shape[0]))
+    )
     return nominal[None, :] * factors
 
 
@@ -624,161 +616,6 @@ class SweepFaultRecoveryOracle:
 
 
 @dataclass
-class IncrementalStaOracle:
-    """Incremental dirty-cone STA vs. full-from-scratch recomputation.
-
-    Drives an :class:`~repro.timing.incremental.IncrementalTimer` through
-    seeded rounds of randomized delay updates (plus a no-op invalidation)
-    and a :class:`~repro.timing.incremental.SizingState` through a short
-    resize sequence, comparing arrivals, critical paths, required times,
-    loads and delays against the trusted full kernels after every step.
-    The incremental engine is exact (its cutoff fires only when a value is
-    bit-identical to the old one), so the tolerance is exact equality.
-    """
-
-    name: str = "incremental-sta"
-    kinds: tuple[str, ...] = ("study", "design")
-    tolerance: Tolerance = field(default_factory=Tolerance.exact)
-    rounds: int = 4
-
-    def check(self, session: "Session", scenario: Scenario) -> OracleCheck:
-        from repro.timing.delay_model import GateDelayModel
-        from repro.timing.incremental import IncrementalTimer, SizingState
-        from repro.timing.sta import critical_path
-
-        pipeline = session.pipeline(scenario.pipeline)
-        model = GateDelayModel(session.technology)
-        seed = session.resolve_seed(scenario.analysis)
-        worst, detail = 0.0, ""
-
-        def note(excess: float, where: str) -> None:
-            nonlocal worst, detail
-            if excess > worst:
-                worst, detail = excess, where
-
-        for index, stage in enumerate(pipeline.stages):
-            netlist = stage.netlist
-            if netlist.n_gates == 0:
-                continue
-            rng = np.random.default_rng(derive_seed(seed, 11, index))
-            delays = model.nominal_delays(netlist)
-            timer = IncrementalTimer(netlist, delays)
-            target = 1.1 * timer.worst_arrival()
-            for round_index in range(self.rounds):
-                count = int(rng.integers(1, max(2, netlist.n_gates // 8)))
-                gate_ids = rng.choice(netlist.n_gates, size=count, replace=False)
-                delays = delays.copy()
-                delays[gate_ids] *= rng.uniform(0.6, 1.6, size=count)
-                timer.update_delays(gate_ids, delays[gate_ids])
-                if round_index == 1:
-                    timer.invalidate(gate_ids)  # no-op: delays unchanged
-                where = f"stage {stage.name} round {round_index}"
-                note(
-                    self.tolerance.excess(
-                        timer.arrivals(), arrival_times(netlist, delays)
-                    ),
-                    f"{where} (arrivals)",
-                )
-                note(
-                    self.tolerance.excess(
-                        timer.required(target),
-                        required_times(netlist, delays, target),
-                    ),
-                    f"{where} (required)",
-                )
-                if timer.critical_path() != critical_path(netlist, delays):
-                    note(float("inf"), f"{where} (critical path)")
-
-            state = SizingState(netlist, session.technology)
-            for move in range(self.rounds):
-                position = int(rng.integers(0, netlist.n_gates))
-                state.resize(position, float(rng.uniform(1.0, 6.0)))
-                where = f"stage {stage.name} move {move}"
-                note(
-                    self.tolerance.excess(
-                        state.loads, netlist.load_capacitances(state.sizes)
-                    ),
-                    f"{where} (loads)",
-                )
-                note(
-                    self.tolerance.excess(
-                        state.delays, model.nominal_delays(netlist, state.sizes)
-                    ),
-                    f"{where} (delays)",
-                )
-                note(
-                    self.tolerance.excess(
-                        state.arrivals(), arrival_times(netlist, state.delays)
-                    ),
-                    f"{where} (arrivals)",
-                )
-        return _check(self, scenario, worst, detail)
-
-
-@dataclass
-class Threaded2dOracle:
-    """Threaded row/gate-chunked kernel tier vs. the vectorized kernels.
-
-    Forces ``kernel="threaded"`` with two workers (independent of the
-    host's core count) on both the batched 2-D forward pass and the SSTA
-    component propagation, and compares against the single-threaded
-    vectorized implementations.  Row/gate chunks are computed with the
-    exact same ufunc calls, so agreement is bitwise in practice; the check
-    still runs under the kernel tolerance like the other kernel oracles.
-    """
-
-    name: str = "threaded-2d"
-    kinds: tuple[str, ...] = ("study", "design")
-    tolerance: Tolerance = field(default_factory=Tolerance.kernel)
-
-    def check(self, session: "Session", scenario: Scenario) -> OracleCheck:
-        from repro.timing.delay_model import GateDelayModel
-        from repro.timing.kernels import KernelConfig
-        from repro.timing.ssta import StatisticalTimingAnalyzer
-
-        forced = KernelConfig(kernel="threaded", threads=2, min_bytes=1, min_rows=1)
-        pipeline = session.pipeline(scenario.pipeline)
-        analyzer = session.analyzer(scenario.variation, scenario.analysis)
-        threaded_analyzer = StatisticalTimingAnalyzer(
-            session.technology,
-            session.variation(scenario.variation),
-            grid_size=scenario.analysis.grid_size,
-            variance_coverage=scenario.analysis.variance_coverage,
-            kernel=forced,
-        )
-        model = GateDelayModel(session.technology)
-        seed = session.resolve_seed(scenario.analysis)
-        worst, detail = 0.0, ""
-
-        def note(excess: float, where: str) -> None:
-            nonlocal worst, detail
-            if excess > worst:
-                worst, detail = excess, where
-
-        for index, stage in enumerate(pipeline.stages):
-            netlist = stage.netlist
-            if netlist.n_gates == 0:
-                continue
-            nominal = model.nominal_delays(netlist)
-            batch = _perturbed_delays(nominal, derive_seed(seed, 13, index), rows=32)
-            note(
-                self.tolerance.excess(
-                    arrival_times(netlist, batch, kernel=forced),
-                    arrival_times(netlist, batch, kernel="vectorized"),
-                ),
-                f"stage {stage.name} (2-D arrivals)",
-            )
-            fast = threaded_analyzer.arrival_components(netlist)
-            slow = analyzer.arrival_components(netlist)
-            for label, actual, expected in zip(("mean", "sens", "rand"), fast, slow):
-                note(
-                    self.tolerance.excess(actual, expected),
-                    f"stage {stage.name} (ssta {label})",
-                )
-        return _check(self, scenario, worst, detail)
-
-
-@dataclass
 class ParserRoundTripOracle:
     """Emit -> parse must be a bit-exact structural round trip.
 
@@ -869,8 +706,6 @@ for _oracle in (
     DesignIsolationOracle(),
     OptimizerConformanceOracle(),
     SweepFaultRecoveryOracle(),
-    IncrementalStaOracle(),
-    Threaded2dOracle(),
     ParserRoundTripOracle(),
 ):
     register_oracle(_oracle)

@@ -303,6 +303,28 @@ class TestMalformedRequests:
         assert status == 400
         assert payload["error"]["type"] == "InvalidSpec"
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("sizer", "no-such-sizer"),
+            ("optimizer", "no-such-optimizer"),
+            ("sizer_options", {"incremental": False}),
+        ],
+        ids=["unknown-sizer", "unknown-optimizer", "unknown-sizer-option"],
+    )
+    def test_bad_design_names_and_sizer_options_are_typed_400s(
+        self, server, field, value
+    ):
+        """Rejected while parsing: nothing is computed and nothing errors."""
+        body = DesignStudySpec(pipeline=PipelineSpec(n_stages=2)).to_dict()
+        body["design"][field] = value
+        status, payload = raw_request(
+            server, "POST", "/v1/design", body=json.dumps(body).encode()
+        )
+        assert (status, payload["error"]["type"]) == (400, "InvalidSpec"), payload
+        stats = server.server.stats
+        assert (stats.computed, stats.errors, stats.rejected_invalid) == (0, 0, 1)
+
     def test_unknown_endpoint_is_404_and_bad_method_is_405(self, server):
         status, payload = raw_request(server, "GET", "/v1/nope")
         assert (status, payload["error"]["type"]) == (404, "NotFound")

@@ -21,6 +21,7 @@ from repro.timing.reference import (
     correlation_matrix_reference,
     required_times_reference,
 )
+from repro.timing import sta
 from repro.timing.ssta import StatisticalTimingAnalyzer
 from repro.timing.sta import arrival_times, critical_path, max_delay, required_times
 from repro.process.technology import default_technology
@@ -70,6 +71,23 @@ class TestDeterministicKernels:
         rng = np.random.default_rng(seed)
         delays = rng.uniform(1e-12, 1e-10, size=(n_samples, block.n_gates))
         assert_matches(arrival_times(block, delays), arrival_times_reference(block, delays))
+
+    def test_multi_block_2d_matches_reference_bit_for_bit(self):
+        """Sample rows spanning three row blocks, the last one ragged."""
+        block = random_logic_block(
+            "wide", n_gates=2000, depth=40, n_inputs=32, n_outputs=16, seed=2005
+        )
+        n_rows = 150
+        rows_per_block = max(16, sta._BLOCK_BYTES // (8 * block.n_gates))
+        assert n_rows > 2 * rows_per_block and n_rows % rows_per_block
+        nominal = GateDelayModel(default_technology()).nominal_delays(block)
+        rng = np.random.default_rng(3)
+        delays = nominal[None, :] * rng.lognormal(0.0, 0.1, size=(n_rows, 2000))
+        expected = arrival_times_reference(block, delays)
+        np.testing.assert_array_equal(arrival_times(block, delays), expected)
+        np.testing.assert_array_equal(
+            max_delay(block, delays), expected[:, block.output_mask()].max(axis=1)
+        )
 
     @given(
         st.integers(min_value=5, max_value=60),
