@@ -8,7 +8,8 @@ data series; these helpers produce the series.
 from __future__ import annotations
 
 import numpy as np
-from scipy.stats import norm
+
+from repro.core.stage_delay import gaussian_pdf
 
 
 def histogram_series(
@@ -34,7 +35,7 @@ def distribution_series(
     delays = np.asarray(delays, dtype=float)
     if std <= 0.0:
         raise ValueError(f"std must be positive, got {std}")
-    return norm.pdf(delays, loc=mean, scale=std)
+    return gaussian_pdf(delays, mean, std)
 
 
 def overlay_series(

@@ -30,11 +30,14 @@ from dataclasses import dataclass, fields
 from typing import TYPE_CHECKING, Any, Mapping, Protocol, runtime_checkable
 
 import numpy as np
-from scipy.stats import norm
 
 from repro.api.spec import StudySpec
 from repro.core.pipeline_delay import PipelineDelayModel
-from repro.core.stage_delay import StageDelayDistribution
+from repro.core.stage_delay import (
+    StageDelayDistribution,
+    gaussian_quantile,
+    gaussian_yield,
+)
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
     from repro.api.session import Session
@@ -197,10 +200,7 @@ class DelayReport:
         """
         if self.samples is not None:
             return float((self.pipeline_samples <= target_delay).mean())
-        if self.pipeline_std == 0.0:
-            return 1.0 if self.pipeline_mean <= target_delay else 0.0
-        z = (target_delay - self.pipeline_mean) / self.pipeline_std
-        return float(norm.cdf(z))
+        return gaussian_yield(target_delay, self.pipeline_mean, self.pipeline_std)
 
     def delay_at_yield(self, target_yield: float) -> float:
         """Clock period the pipeline achieves ``target_yield`` at."""
@@ -208,7 +208,7 @@ class DelayReport:
             raise ValueError(f"target_yield must be in (0, 1), got {target_yield}")
         if self.samples is not None:
             return float(np.quantile(self.pipeline_samples, target_yield))
-        return self.pipeline_mean + self.pipeline_std * float(norm.ppf(target_yield))
+        return gaussian_quantile(target_yield, self.pipeline_mean, self.pipeline_std)
 
     def summary(self) -> dict[str, float]:
         """Scalar summary used by reports and sweep tables (times in ps)."""

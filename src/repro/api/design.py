@@ -38,11 +38,10 @@ import json
 from dataclasses import dataclass, fields
 from typing import TYPE_CHECKING, Any, Mapping, Protocol, runtime_checkable
 
-from scipy.stats import norm
-
 from repro.api.backends import DelayReport
 from repro.api.spec import DesignSpec, DesignStudySpec
 from repro.core.pipeline_delay import PipelineDelayModel
+from repro.core.stage_delay import gaussian_yield
 from repro.core.yield_model import stage_yield_budget
 from repro.optimize.global_opt import (
     GlobalPipelineOptimizer,
@@ -295,10 +294,7 @@ class DesignReport:
     # -- yield queries ----------------------------------------------------
     def predicted_yield_at(self, target_delay: float) -> float:
         """Model pipeline yield at an arbitrary delay (Gaussian, eq. 9)."""
-        if self.pipeline_std == 0.0:
-            return 1.0 if self.pipeline_mean <= target_delay else 0.0
-        z = (target_delay - self.pipeline_mean) / self.pipeline_std
-        return float(norm.cdf(z))
+        return gaussian_yield(target_delay, self.pipeline_mean, self.pipeline_std)
 
     @property
     def mc_yield(self) -> float | None:

@@ -26,6 +26,11 @@ jointly Gaussian variable ``Y`` follows from
 application; the paper (citing Ross 2003) orders the variables by
 increasing mean to minimise the approximation error, and so does
 :func:`max_of_gaussians` by default.
+
+:func:`clark_max` is the one implementation of this moment match, an array
+kernel with one degeneracy test.  :func:`max_of_two_gaussians`,
+:func:`correlation_with_max`, :func:`max_of_gaussians` and the
+canonical-form max of :mod:`repro.timing.ssta` all call it.
 """
 
 from __future__ import annotations
@@ -33,7 +38,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.stats import norm
+from scipy.special import ndtr
+
+from repro.core.stage_delay import standard_normal_pdf
 
 # Two variables are treated as perfectly dependent (their difference is
 # deterministic) when the variance of that difference is this small relative
@@ -42,12 +49,46 @@ from scipy.stats import norm
 _DEGENERATE_RATIO = 1e-12
 
 
-def _is_degenerate_spread(spread_sq: float, var1: float, var2: float) -> bool:
-    """Whether max(X1, X2) degenerates to the larger-mean variable."""
-    scale = var1 + var2
-    if scale <= 0.0:
-        return True
-    return spread_sq <= _DEGENERATE_RATIO * scale
+def clark_max(mean_a, var_a, mean_b, var_b, cov_ab):
+    """Clark's moments of ``max(A, B)`` for jointly Gaussian ``A`` and ``B``.
+
+    Works elementwise on scalars or broadcastable arrays.  Returns
+    ``(mean, var, prob_a)``: the moments of the approximated max and the
+    tightness probability ``Pr{A > B} = Phi(alpha)`` that eq. 6 weights
+    covariances with.  When ``A - B`` is (numerically) deterministic the max
+    is whichever variable has the larger mean, and ``prob_a`` is 1 or 0.
+    """
+    total = var_a + var_b
+    theta_sq = total - 2.0 * cov_ab
+    degenerate = theta_sq <= _DEGENERATE_RATIO * total
+    theta = np.sqrt(np.where(degenerate, 1.0, theta_sq))
+    alpha = (mean_a - mean_b) / theta
+    prob_a = ndtr(alpha)
+    prob_b = 1.0 - prob_a
+    phi = standard_normal_pdf(alpha)
+    mean = mean_a * prob_a + mean_b * prob_b + theta * phi
+    second_moment = (
+        (mean_a**2 + var_a) * prob_a
+        + (mean_b**2 + var_b) * prob_b
+        + (mean_a + mean_b) * theta * phi
+    )
+    var = np.maximum(second_moment - mean**2, 0.0)
+    a_wins = mean_a >= mean_b
+    mean = np.where(degenerate, np.where(a_wins, mean_a, mean_b), mean)
+    var = np.where(degenerate, np.where(a_wins, var_a, var_b), var)
+    prob_a = np.where(degenerate, a_wins, prob_a)
+    return mean, var, prob_a
+
+
+def _eq6_correlation(std1, rho1, std2, rho2, prob1, max_std):
+    """Eq. 6: correlation of ``Y`` with ``max(X1, X2)`` from ``rho(Y, Xi)``.
+
+    ``Cov(Y, max) = sigma_Y (s1 rho1 Phi + s2 rho2 Phi-)``; the ``sigma_Y``
+    factor cancels against the denominator, so it is divided out
+    analytically (products of very small sigmas would underflow).
+    """
+    rho = (std1 * rho1 * prob1 + std2 * rho2 * (1.0 - prob1)) / max_std
+    return np.clip(rho, -1.0, 1.0)
 
 
 @dataclass(frozen=True)
@@ -90,29 +131,8 @@ def max_of_two_gaussians(
         raise ValueError("standard deviations must be non-negative")
     if not -1.0 <= correlation <= 1.0:
         raise ValueError(f"correlation must be in [-1, 1], got {correlation}")
-
-    spread_sq = std1**2 + std2**2 - 2.0 * std1 * std2 * correlation
-    if _is_degenerate_spread(spread_sq, std1**2, std2**2):
-        # X1 - X2 is (numerically) deterministic: the max is simply whichever
-        # variable has the larger mean.
-        if mean1 >= mean2:
-            return MaxResult(mean1, std1)
-        return MaxResult(mean2, std2)
-
-    spread = spread_sq**0.5
-    alpha = (mean1 - mean2) / spread
-    prob1 = float(norm.cdf(alpha))
-    prob2 = 1.0 - prob1
-    density = float(norm.pdf(alpha))
-
-    mean_max = mean1 * prob1 + mean2 * prob2 + spread * density
-    second_moment = (
-        (mean1**2 + std1**2) * prob1
-        + (mean2**2 + std2**2) * prob2
-        + (mean1 + mean2) * spread * density
-    )
-    variance = max(second_moment - mean_max**2, 0.0)
-    return MaxResult(mean_max, variance**0.5)
+    mean, var, _ = clark_max(mean1, std1**2, mean2, std2**2, std1 * std2 * correlation)
+    return MaxResult(float(mean), float(np.sqrt(var)))
 
 
 def correlation_with_max(
@@ -151,24 +171,10 @@ def correlation_with_max(
         max_std = max_of_two_gaussians(mean1, std1, mean2, std2, correlation12).std
     if max_std <= 0.0 or std_other <= 0.0:
         return 0.0
-
-    spread_sq = std1**2 + std2**2 - 2.0 * std1 * std2 * correlation12
-    if _is_degenerate_spread(spread_sq, std1**2, std2**2):
-        # The max degenerates to the larger-mean variable.
-        if mean1 >= mean2:
-            return float(np.clip(correlation_other_1 * std1 / max_std, -1.0, 1.0))
-        return float(np.clip(correlation_other_2 * std2 / max_std, -1.0, 1.0))
-
-    alpha = (mean1 - mean2) / spread_sq**0.5
-    prob1 = float(norm.cdf(alpha))
-    prob2 = 1.0 - prob1
-    # Cov(Y, max) = sigma_Y * (s1 rho1 Phi + s2 rho2 Phi-); the sigma_Y factor
-    # cancels against the denominator, so divide it out analytically rather
-    # than numerically (products of very small sigmas would underflow).
-    rho = (
-        std1 * correlation_other_1 * prob1 + std2 * correlation_other_2 * prob2
-    ) / max_std
-    return float(np.clip(rho, -1.0, 1.0))
+    _, _, prob1 = clark_max(mean1, std1**2, mean2, std2**2, std1 * std2 * correlation12)
+    return float(
+        _eq6_correlation(std1, correlation_other_1, std2, correlation_other_2, prob1, max_std)
+    )
 
 
 def _validated_inputs(
@@ -254,35 +260,25 @@ def max_of_gaussians(
     stds = stds[order]
     correlations = correlations[np.ix_(order, order)]
 
-    if means.size == 1:
-        return MaxResult(float(means[0]), float(stds[0]))
-
     # Running accumulator: the Gaussian approximation of the max so far and
-    # its correlation with each not-yet-processed variable.
+    # its correlation with each not-yet-processed variable (eq. 6, updated
+    # for all of them at once after every pairwise max).
     acc_mean = float(means[0])
     acc_std = float(stds[0])
-    acc_corr = correlations[0, :].copy()
-
+    acc_corr = correlations[0]
     for index in range(1, means.size):
-        current = max_of_two_gaussians(
-            acc_mean, acc_std, float(means[index]), float(stds[index]), float(acc_corr[index])
+        std = float(stds[index])
+        mean, var, prob = clark_max(
+            acc_mean, acc_std**2, float(means[index]), std**2, acc_std * std * acc_corr[index]
         )
-        if index < means.size - 1:
-            new_corr = np.zeros_like(acc_corr)
-            for remaining in range(index + 1, means.size):
-                new_corr[remaining] = correlation_with_max(
-                    acc_mean,
-                    acc_std,
-                    float(means[index]),
-                    float(stds[index]),
-                    float(acc_corr[index]),
-                    float(stds[remaining]),
-                    float(acc_corr[remaining]),
-                    float(correlations[index, remaining]),
-                    max_std=current.std,
-                )
-            acc_corr = new_corr
-        acc_mean = current.mean
-        acc_std = current.std
+        new_std = float(np.sqrt(var))
+        rest = slice(index + 1, None)
+        new_corr = np.zeros_like(acc_corr)
+        if new_std > 0.0:
+            rho = _eq6_correlation(
+                acc_std, acc_corr[rest], std, correlations[index, rest], prob, new_std
+            )
+            new_corr[rest] = np.where(stds[rest] <= 0.0, 0.0, rho)
+        acc_mean, acc_std, acc_corr = float(mean), new_std, new_corr
 
     return MaxResult(acc_mean, acc_std)

@@ -31,7 +31,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.stats import norm
+from scipy.special import ndtri
 
 
 @dataclass(frozen=True)
@@ -105,7 +105,7 @@ class DesignSpace:
         """Upper bound on any stage mean given the pipeline sigma (eq. 10)."""
         if pipeline_sigma < 0.0:
             raise ValueError("pipeline_sigma must be non-negative")
-        return self.target_delay - pipeline_sigma * float(norm.ppf(self.target_yield))
+        return self.target_delay - pipeline_sigma * float(ndtri(self.target_yield))
 
     def relaxed_upper_bound(self, sigma: np.ndarray | float) -> np.ndarray | float:
         """Largest stage mean allowed at the given sigma (eq. 11).
@@ -114,7 +114,7 @@ class DesignSpace:
         the target, no matter how good the other stages are.
         """
         sigma = np.asarray(sigma, dtype=float)
-        bound = self.target_delay - sigma * float(norm.ppf(self.target_yield))
+        bound = self.target_delay - sigma * float(ndtri(self.target_yield))
         return bound if bound.ndim else float(bound)
 
     def equality_bound(
@@ -125,7 +125,7 @@ class DesignSpace:
             raise ValueError(f"n_stages must be at least 1, got {n_stages}")
         sigma = np.asarray(sigma, dtype=float)
         stage_yield = self.target_yield ** (1.0 / n_stages)
-        bound = self.target_delay - sigma * float(norm.ppf(stage_yield))
+        bound = self.target_delay - sigma * float(ndtri(stage_yield))
         return bound if bound.ndim else float(bound)
 
     def satisfies_relaxed_bound(self, mu: float, sigma: float) -> bool:

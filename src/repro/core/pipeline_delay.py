@@ -19,46 +19,19 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.stats import norm
 
 from repro.core.clark import max_of_gaussians
-from repro.core.stage_delay import StageDelayDistribution
+from repro.core.stage_delay import GaussianDelay, StageDelayDistribution
 
 
 @dataclass(frozen=True)
-class PipelineDelayEstimate:
+class PipelineDelayEstimate(GaussianDelay):
     """Gaussian estimate of the overall pipeline delay distribution."""
 
     mean: float
     std: float
     jensen_lower_bound: float
     n_stages: int
-
-    @property
-    def variability(self) -> float:
-        """sigma/mu of the pipeline delay."""
-        if self.mean == 0.0:
-            return 0.0
-        return self.std / self.mean
-
-    def yield_at(self, target_delay: float) -> float:
-        """Yield (probability of meeting ``target_delay``) from the Gaussian
-        approximation of the pipeline delay (paper eq. 9)."""
-        if self.std == 0.0:
-            return 1.0 if self.mean <= target_delay else 0.0
-        return float(norm.cdf((target_delay - self.mean) / self.std))
-
-    def delay_at_yield(self, target_yield: float) -> float:
-        """Clock period achievable at the requested yield."""
-        if not 0.0 < target_yield < 1.0:
-            raise ValueError(f"target_yield must be in (0, 1), got {target_yield}")
-        return self.mean + self.std * float(norm.ppf(target_yield))
-
-    def pdf(self, delay: np.ndarray | float) -> np.ndarray | float:
-        """Gaussian probability density of the pipeline delay."""
-        if self.std == 0.0:
-            raise ValueError("pdf undefined for a zero-variance pipeline delay")
-        return norm.pdf(delay, loc=self.mean, scale=self.std)
 
 
 class PipelineDelayModel:

@@ -21,7 +21,6 @@ Three estimators are provided:
 from __future__ import annotations
 
 import numpy as np
-from scipy.stats import norm
 
 from repro.core.pipeline_delay import PipelineDelayModel
 from repro.core.stage_delay import StageDelayDistribution
@@ -40,12 +39,7 @@ def yield_independent(
         raise ValueError(f"target_delay must be non-negative, got {target_delay}")
     log_probability = 0.0
     for stage in stages:
-        if stage.std == 0.0:
-            if stage.mean > target_delay:
-                return 0.0
-            continue
-        z = (target_delay - stage.mean) / stage.std
-        probability = float(norm.cdf(z))
+        probability = stage.yield_at(target_delay)
         if probability <= 0.0:
             return 0.0
         log_probability += np.log(probability)

@@ -30,10 +30,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.stats import norm
 
 from repro.core.pipeline_delay import PipelineDelayModel
-from repro.core.stage_delay import StageDelayDistribution
+from repro.core.stage_delay import StageDelayDistribution, gaussian_yield
 from repro.optimize.area_delay import AreaDelayCurve, characterize_stage
 from repro.optimize.result import SizingResult
 from repro.pipeline.pipeline import Pipeline
@@ -233,7 +232,7 @@ class GlobalPipelineOptimizer:
         sigma_best = ratio * mean_best
         if sigma_best <= 0.0:
             return self.max_stage_yield
-        stage_yield = float(norm.cdf((target_delay - mean_best) / sigma_best))
+        stage_yield = gaussian_yield(target_delay, mean_best, sigma_best)
         return float(np.clip(stage_yield, 1e-4, self.max_stage_yield))
 
     # ------------------------------------------------------------------

@@ -18,7 +18,7 @@ from __future__ import annotations
 import time
 
 import numpy as np
-from scipy.stats import norm
+from scipy.special import ndtri
 
 from repro.circuit.schedule import expand_csr_rows
 from repro.core.stage_delay import StageDelayDistribution
@@ -100,7 +100,7 @@ class GreedySizer:
         output_mask = netlist.output_mask()
         if not output_mask.any():
             output_mask = np.ones(n_gates, dtype=bool)
-        k_yield = float(norm.ppf(target_yield))
+        k_yield = float(ndtri(target_yield))
 
         sizes = np.full(n_gates, self.min_size)
 

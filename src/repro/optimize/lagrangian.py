@@ -41,7 +41,7 @@ from __future__ import annotations
 import time
 
 import numpy as np
-from scipy.stats import norm
+from scipy.special import ndtri
 
 from repro.core.stage_delay import StageDelayDistribution
 from repro.optimize.result import SizingResult
@@ -226,7 +226,7 @@ class LagrangianSizer:
         output_mask = netlist.output_mask()
         if not output_mask.any():
             output_mask = np.ones(n_gates, dtype=bool)
-        k_yield = float(norm.ppf(target_yield))
+        k_yield = float(ndtri(target_yield))
 
         if initial_sizes is None:
             sizes = np.full(n_gates, self.min_size)

@@ -9,7 +9,11 @@ STA/SSTA propagation kernels, kept verbatim so that:
 * the performance benchmark (``benchmarks/bench_perf_timing.py``) can report
   the speedup of the compiled-schedule kernels against a fixed baseline.
 
-They are not used on any production path.
+The module imports nothing from the fast path (:mod:`repro.timing.sta`,
+:mod:`repro.timing.ssta`, :mod:`repro.core.clark`): the SSTA reference
+carries its own seed copy of Clark's canonical-form max,
+:func:`canonical_max_reference`, so an oracle that compares the two shares
+no code with the path it checks.  They are not used on any production path.
 """
 
 from __future__ import annotations
@@ -17,6 +21,10 @@ from __future__ import annotations
 import numpy as np
 
 from repro.circuit.netlist import Netlist
+
+# The seed's degeneracy threshold: the variance of (A - B) below this
+# fraction of var(A) + var(B) makes the max the larger-mean form.
+_DEGENERATE_RATIO = 1e-12
 
 
 def arrival_times_reference(netlist: Netlist, gate_delays: np.ndarray) -> np.ndarray:
@@ -75,6 +83,45 @@ def required_times_reference(
     return required
 
 
+def canonical_max_reference(
+    mean_a: float,
+    sens_a: np.ndarray,
+    rand_a: float,
+    mean_b: float,
+    sens_b: np.ndarray,
+    rand_b: float,
+) -> tuple[float, np.ndarray, float]:
+    """Seed scalar Clark max of two canonical forms, returned as raw components."""
+    from scipy.stats import norm
+
+    var_a = float(np.dot(sens_a, sens_a) + rand_a * rand_a)
+    var_b = float(np.dot(sens_b, sens_b) + rand_b * rand_b)
+    cov_ab = float(np.dot(sens_a, sens_b))
+    theta_sq = var_a + var_b - 2.0 * cov_ab
+    if var_a + var_b <= 0.0 or theta_sq <= _DEGENERATE_RATIO * (var_a + var_b):
+        # The two quantities are (numerically) the same random variable up to
+        # a constant shift; the max is simply the one with the larger mean.
+        if mean_a >= mean_b:
+            return mean_a, sens_a.copy(), rand_a
+        return mean_b, sens_b.copy(), rand_b
+    theta = theta_sq**0.5
+    alpha = (mean_a - mean_b) / theta
+    prob_a = float(norm.cdf(alpha))
+    prob_b = 1.0 - prob_a
+    phi = float(norm.pdf(alpha))
+    mean_max = mean_a * prob_a + mean_b * prob_b + theta * phi
+    second_moment = (
+        (mean_a**2 + var_a) * prob_a
+        + (mean_b**2 + var_b) * prob_b
+        + (mean_a + mean_b) * theta * phi
+    )
+    var_max = max(second_moment - mean_max**2, 0.0)
+    sens_max = prob_a * sens_a + prob_b * sens_b
+    residual = var_max - float(np.dot(sens_max, sens_max))
+    rand_max = residual**0.5 if residual > 0.0 else 0.0
+    return mean_max, sens_max, rand_max
+
+
 def arrival_components_reference(
     analyzer, netlist: Netlist, sizes: np.ndarray | None = None
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -83,8 +130,6 @@ def arrival_components_reference(
     Performs one scalar Clark max per fanin pair, walking the DAG gate by
     gate.  ``analyzer`` is a :class:`repro.timing.ssta.StatisticalTimingAnalyzer`.
     """
-    from repro.timing.ssta import _max_arrays
-
     means, sens, rands = analyzer.gate_delay_components(netlist, sizes)
     fanins = netlist.fanin_indices()
     n_gates = means.shape[0]
@@ -97,7 +142,7 @@ def arrival_components_reference(
             best_sens = arr_sens[gate_fanins[0]]
             best_rand = arr_rand[gate_fanins[0]]
             for fanin_pos in gate_fanins[1:]:
-                best_mean, best_sens, best_rand = _max_arrays(
+                best_mean, best_sens, best_rand = canonical_max_reference(
                     best_mean,
                     best_sens,
                     best_rand,

@@ -19,7 +19,9 @@ components of the spatially correlated intra-die field) and ``R`` is an
 independent standard-normal variable private to this quantity.  Sums add
 means and sensitivities and combine the private parts in quadrature; the
 max of two forms uses Clark's moment-matching approximation with the tightness
-probability splitting the sensitivities.
+probability splitting the sensitivities.  One such max, built on
+:func:`repro.core.clark.clark_max`, serves :meth:`CanonicalForm.maximum`, the
+per-level fanin fold and the primary-output fold.
 
 The same factor basis is shared by every stage of a pipeline analysed by one
 :class:`StatisticalTimingAnalyzer`, so the covariance between stage delays
@@ -33,18 +35,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.stats import norm
 
 from repro.circuit.flipflop import FlipFlopTiming
 from repro.circuit.netlist import Netlist
+from repro.core.clark import clark_max
 from repro.process.spatial import SpatialCorrelationModel
 from repro.process.technology import Technology
 from repro.process.variation import VariationModel
 from repro.timing.delay_model import GateDelayModel
-
-# Relative threshold below which the variance of (A - B) is treated as zero
-# and the max degenerates to the larger-mean form (unit independent).
-_DEGENERATE_RATIO = 1e-12
 
 
 @dataclass(frozen=True)
@@ -102,96 +100,36 @@ class CanonicalForm:
     @staticmethod
     def maximum(a: "CanonicalForm", b: "CanonicalForm") -> "CanonicalForm":
         """Clark's approximation to ``max(a, b)`` as a new canonical form."""
-        mean, sens, rand = _max_arrays(
+        mean, sens, rand = _canonical_max(
             a.mean, a.sensitivities, a.sigma_random,
             b.mean, b.sensitivities, b.sigma_random,
         )
-        return CanonicalForm(mean, sens, rand)
+        return CanonicalForm(float(mean), sens, float(rand))
 
 
-def _max_arrays(
-    mean_a: float,
-    sens_a: np.ndarray,
-    rand_a: float,
-    mean_b: float,
-    sens_b: np.ndarray,
-    rand_b: float,
-) -> tuple[float, np.ndarray, float]:
-    """Clark max of two canonical forms, returned as raw components."""
-    var_a = float(np.dot(sens_a, sens_a) + rand_a * rand_a)
-    var_b = float(np.dot(sens_b, sens_b) + rand_b * rand_b)
-    cov_ab = float(np.dot(sens_a, sens_b))
-    theta_sq = var_a + var_b - 2.0 * cov_ab
-    if var_a + var_b <= 0.0 or theta_sq <= _DEGENERATE_RATIO * (var_a + var_b):
-        # The two quantities are (numerically) the same random variable up to
-        # a constant shift; the max is simply the one with the larger mean.
-        if mean_a >= mean_b:
-            return mean_a, sens_a.copy(), rand_a
-        return mean_b, sens_b.copy(), rand_b
-    theta = theta_sq**0.5
-    alpha = (mean_a - mean_b) / theta
-    prob_a = float(norm.cdf(alpha))
-    prob_b = 1.0 - prob_a
-    phi = float(norm.pdf(alpha))
-    mean_max = mean_a * prob_a + mean_b * prob_b + theta * phi
-    second_moment = (
-        (mean_a**2 + var_a) * prob_a
-        + (mean_b**2 + var_b) * prob_b
-        + (mean_a + mean_b) * theta * phi
-    )
-    var_max = max(second_moment - mean_max**2, 0.0)
-    sens_max = prob_a * sens_a + prob_b * sens_b
-    residual = var_max - float(np.dot(sens_max, sens_max))
-    rand_max = residual**0.5 if residual > 0.0 else 0.0
-    return mean_max, sens_max, rand_max
+def _dot(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Dot products over the factor axis: BLAS for one form, einsum per row.
 
-
-def _max_arrays_batch(
-    mean_a: np.ndarray,
-    sens_a: np.ndarray,
-    rand_a: np.ndarray,
-    mean_b: np.ndarray,
-    sens_b: np.ndarray,
-    rand_b: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Clark max applied elementwise to ``k`` pairs of canonical forms.
-
-    Shapes: means and randoms ``(k,)``, sensitivities ``(k, n_factors)``.
-    Performs the same moment matching as :func:`_max_arrays` but for a whole
-    batch of independent max operations at once -- one call per fanin rank
-    per level instead of one Python call per fanin pair.
+    These keep each fold's summation order, which matters: the Lagrangian
+    sizer turns a last-bit change in a stage form into a different sizing.
     """
-    var_a = np.einsum("ij,ij->i", sens_a, sens_a) + rand_a * rand_a
-    var_b = np.einsum("ij,ij->i", sens_b, sens_b) + rand_b * rand_b
-    cov_ab = np.einsum("ij,ij->i", sens_a, sens_b)
-    total = var_a + var_b
-    theta_sq = total - 2.0 * cov_ab
-    degenerate = (total <= 0.0) | (theta_sq <= _DEGENERATE_RATIO * total)
-    theta = np.sqrt(np.where(degenerate, 1.0, theta_sq))
-    alpha = (mean_a - mean_b) / theta
-    prob_a = norm.cdf(alpha)
-    prob_b = 1.0 - prob_a
-    phi = norm.pdf(alpha)
-    mean_max = mean_a * prob_a + mean_b * prob_b + theta * phi
-    second_moment = (
-        (mean_a**2 + var_a) * prob_a
-        + (mean_b**2 + var_b) * prob_b
-        + (mean_a + mean_b) * theta * phi
-    )
-    var_max = np.maximum(second_moment - mean_max**2, 0.0)
-    sens_max = prob_a[:, None] * sens_a + prob_b[:, None] * sens_b
-    residual = var_max - np.einsum("ij,ij->i", sens_max, sens_max)
-    rand_max = np.sqrt(np.clip(residual, 0.0, None))
-    if np.any(degenerate):
-        # Numerically identical inputs (up to a constant shift): the max is
-        # simply the form with the larger mean, as in the scalar kernel.
-        use_a = degenerate & (mean_a >= mean_b)
-        use_b = degenerate & ~(mean_a >= mean_b)
-        mean_max = np.where(use_a, mean_a, np.where(use_b, mean_b, mean_max))
-        rand_max = np.where(use_a, rand_a, np.where(use_b, rand_b, rand_max))
-        sens_max[use_a] = sens_a[use_a]
-        sens_max[use_b] = sens_b[use_b]
-    return mean_max, sens_max, rand_max
+    if x.ndim == 1:
+        return np.dot(x, y)
+    return np.einsum("ij,ij->i", x, y)
+
+
+def _canonical_max(mean_a, sens_a, rand_a, mean_b, sens_b, rand_b):
+    """Clark max of ``k`` pairs of canonical forms, as raw components.
+
+    Means and randoms are ``(k,)`` and sensitivities ``(k, n_factors)``, or
+    scalars and ``(n_factors,)`` for a single pair.
+    """
+    var_a = _dot(sens_a, sens_a) + rand_a * rand_a
+    var_b = _dot(sens_b, sens_b) + rand_b * rand_b
+    mean, var, prob_a = clark_max(mean_a, var_a, mean_b, var_b, _dot(sens_a, sens_b))
+    sens = prob_a[..., None] * sens_a + (1.0 - prob_a)[..., None] * sens_b
+    rand = np.sqrt(np.maximum(var - _dot(sens, sens), 0.0))
+    return mean, sens, rand
 
 
 class StatisticalTimingAnalyzer:
@@ -295,7 +233,7 @@ class StatisticalTimingAnalyzer:
 
         Propagates level by level over the netlist's compiled schedule.  At
         each level the pairwise Clark fold over every gate's fanins is
-        batched by fanin rank: one :func:`_max_arrays_batch` call folds the
+        batched by fanin rank: one :func:`_canonical_max` call folds the
         ``j``-th fanin of all gates in the level simultaneously, preserving
         the per-gate left-to-right pin order of the scalar reference.  The
         plan sorts the level's gates by fanin count, so the gates still
@@ -323,13 +261,9 @@ class StatisticalTimingAnalyzer:
             offset = plan.width
             for count in plan.rank_counts:
                 nxt = cols[offset : offset + count]
-                folded = _max_arrays_batch(
-                    acc_mean[:count],
-                    acc_sens[:count],
-                    acc_rand[:count],
-                    arr_mean[nxt],
-                    arr_sens[nxt],
-                    arr_rand[nxt],
+                folded = _canonical_max(
+                    acc_mean[:count], acc_sens[:count], acc_rand[:count],
+                    arr_mean[nxt], arr_sens[nxt], arr_rand[nxt],
                 )
                 acc_mean[:count], acc_sens[:count], acc_rand[:count] = folded
                 offset += count
@@ -341,7 +275,12 @@ class StatisticalTimingAnalyzer:
     def combinational_delay(
         self, netlist: Netlist, sizes: np.ndarray | None = None
     ) -> CanonicalForm:
-        """Distribution of the block's combinational delay (max over outputs)."""
+        """Distribution of the block's combinational delay (max over outputs).
+
+        A block with no gates (a register-only stage) has zero delay.
+        """
+        if netlist.n_gates == 0:
+            return CanonicalForm.constant(0.0, self.n_factors)
         arr_mean, arr_sens, arr_rand = self.arrival_components(netlist, sizes)
         mask = netlist.output_mask()
         if not mask.any():
@@ -357,14 +296,12 @@ class StatisticalTimingAnalyzer:
         chain_mean = arr_mean[positions]
         chain_sens = arr_sens[positions]
         chain_rand = arr_rand[positions]
-        mean = float(chain_mean[0])
-        sens = chain_sens[0].copy()
-        rand = float(chain_rand[0])
+        mean, sens, rand = chain_mean[0], chain_sens[0], chain_rand[0]
         for pos in range(1, positions.shape[0]):
-            mean, sens, rand = _max_arrays(
+            mean, sens, rand = _canonical_max(
                 mean, sens, rand, chain_mean[pos], chain_sens[pos], chain_rand[pos]
             )
-        return CanonicalForm(mean, sens, rand)
+        return CanonicalForm(float(mean), sens, float(rand))
 
     # ------------------------------------------------------------------
     # Sequential overhead and stage delay

@@ -386,6 +386,29 @@ def test_bench_kind_runs_all_backends():
     assert abs(ssta.pipeline_mean - mc.pipeline_mean) < 0.1 * mc.pipeline_mean
 
 
+def test_register_only_bench_runs_all_backends(tmp_path):
+    """A register-only design is a stage with no gates: every backend answers
+    it with the register overhead alone."""
+    from repro import AnalysisSpec, PipelineSpec, Session, StudySpec, VariationSpec
+
+    path = tmp_path / "register_only.bench"
+    path.write_text("INPUT(a)\nINPUT(b)\nOUTPUT(q)\nq = DFF(a)\n")
+    pipeline = PipelineSpec(kind="bench", n_stages=1, options={"path": str(path)})
+    session = Session()
+    assert session.pipeline(pipeline).stages[0].netlist.n_gates == 0
+    reports = {}
+    for backend in ("montecarlo", "ssta", "analytic"):
+        spec = StudySpec(
+            pipeline=pipeline,
+            variation=VariationSpec.combined(),
+            analysis=AnalysisSpec(n_samples=300, seed=9, backend=backend),
+        )
+        reports[backend] = session.run(spec)
+        assert reports[backend].pipeline_mean > 0
+    mc, ssta = reports["montecarlo"], reports["ssta"]
+    assert ssta.stage_means[0] == pytest.approx(mc.stage_means[0], rel=0.05)
+
+
 def test_yosys_kind_design_study():
     from repro import (AnalysisSpec, DesignSpec, DesignStudySpec, PipelineSpec,
                       Session, VariationSpec)

@@ -1,9 +1,22 @@
 """Tests for repro.core.stage_delay."""
 
+import os
+import pathlib
+import subprocess
+import sys
+
 import numpy as np
 import pytest
+from scipy.stats import norm
 
-from repro.core.stage_delay import StageDelayDistribution
+import repro
+from repro.core.stage_delay import (
+    StageDelayDistribution,
+    gaussian_pdf,
+    gaussian_quantile,
+    gaussian_yield,
+    standard_normal_pdf,
+)
 
 
 class TestConstruction:
@@ -87,3 +100,68 @@ class TestQueries:
         scaled = dist.scaled(1.0, std_factor=2.0)
         assert scaled.mean == pytest.approx(dist.mean)
         assert scaled.std == pytest.approx(2.0 * dist.std)
+
+
+class TestGaussianContract:
+    """The one N(mu, sigma) yield/quantile/density the package uses."""
+
+    @pytest.fixture(scope="class")
+    def draws(self):
+        rng = np.random.default_rng(2005)
+        means = rng.uniform(20e-12, 400e-12, 400)
+        stds = rng.uniform(1e-14, 40e-12, 400)
+        points = means + stds * rng.normal(0.0, 3.0, 400)
+        probabilities = rng.uniform(1e-9, 1.0 - 1e-9, 400)
+        return means, stds, points, probabilities
+
+    def test_yield_is_norm_cdf_bit_for_bit(self, draws):
+        means, stds, points, _ = draws
+        for mean, std, point in zip(means, stds, points):
+            expected = float(norm.cdf(point, loc=mean, scale=std))
+            assert gaussian_yield(point, mean, std) == expected
+
+    def test_quantile_is_norm_ppf_bit_for_bit(self, draws):
+        means, stds, _, probabilities = draws
+        for mean, std, probability in zip(means, stds, probabilities):
+            expected = float(norm.ppf(probability, loc=mean, scale=std))
+            assert gaussian_quantile(probability, mean, std) == expected
+
+    def test_density_is_norm_pdf_bit_for_bit(self, draws):
+        means, stds, points, _ = draws
+        for mean, std, point in zip(means, stds, points):
+            assert gaussian_pdf(point, mean, std) == norm.pdf(point, loc=mean, scale=std)
+            assert gaussian_pdf(float(point), float(mean), float(std)) == norm.pdf(
+                float(point), loc=float(mean), scale=float(std)
+            )
+        grid = np.linspace(points.min(), points.max(), 257)
+        np.testing.assert_array_equal(
+            gaussian_pdf(grid, means[0], stds[0]),
+            norm.pdf(grid, loc=means[0], scale=stds[0]),
+        )
+        z = np.linspace(-40.0, 40.0, 1001)
+        np.testing.assert_array_equal(standard_normal_pdf(z), norm.pdf(z))
+
+    def test_zero_sigma_is_a_step_at_the_mean(self):
+        mean = 200e-12
+        assert gaussian_yield(mean, mean, 0.0) == 1.0
+        assert gaussian_yield(mean - 1e-15, mean, 0.0) == 0.0
+        assert gaussian_yield(mean + 1e-15, mean, 0.0) == 1.0
+        assert StageDelayDistribution(mean, 0.0).yield_at(mean) == 1.0
+        assert gaussian_quantile(0.9, mean, 0.0) == mean
+
+    def test_importing_repro_does_not_load_scipy_stats(self):
+        """``scipy.stats`` costs ~0.5 s and ~45 MB per process at import."""
+        src = pathlib.Path(repro.__file__).resolve().parents[1]
+        code = (
+            "import sys, repro, repro.serve\n"
+            "loaded = sorted(m for m in sys.modules if m.startswith('scipy.stats'))\n"
+            "assert not loaded, loaded\n"
+        )
+        result = subprocess.run(
+            [sys.executable, "-c", code],
+            env={**os.environ, "PYTHONPATH": str(src)},
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert result.returncode == 0, result.stderr

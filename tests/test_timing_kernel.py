@@ -5,8 +5,14 @@ The seed's gate-at-a-time implementations survive in
 in :mod:`repro.timing.sta` / :mod:`repro.timing.ssta` match them to 1e-12
 relative (of the result's own scale) on random DAGs, and exercise the
 structural edge cases the kernels must survive: gates with no gate fanins,
-single-gate netlists, and netlists with no marked primary outputs.
+single-gate netlists, and netlists with no marked primary outputs.  The
+reference carries its own seed copy of Clark's canonical-form max and must
+import nothing from the fast path.
 """
+
+import ast
+import importlib.util
+import pathlib
 
 import numpy as np
 import pytest
@@ -15,17 +21,20 @@ from hypothesis import given, settings, strategies as st
 from repro.circuit.generators import inverter_chain, random_logic_block
 from repro.circuit.netlist import Netlist
 from repro.timing.delay_model import GateDelayModel
+from repro.timing import reference
 from repro.timing.reference import (
     arrival_components_reference,
     arrival_times_reference,
+    canonical_max_reference,
     correlation_matrix_reference,
     required_times_reference,
 )
 from repro.timing import sta
-from repro.timing.ssta import StatisticalTimingAnalyzer
+from repro.timing.ssta import CanonicalForm, StatisticalTimingAnalyzer
 from repro.timing.sta import arrival_times, critical_path, max_delay, required_times
 from repro.process.technology import default_technology
 from repro.process.variation import VariationModel
+from repro.verify.tolerances import Tolerance
 
 
 REL = 1e-12
@@ -154,6 +163,86 @@ class TestStatisticalKernels:
         assert np.allclose(np.diag(matrix), 1.0)
 
 
+def assert_max_matches_seed(a: CanonicalForm, b: CanonicalForm) -> CanonicalForm:
+    """SSTA's canonical-form max against the reference's seed Clark copy."""
+    fast = CanonicalForm.maximum(a, b)
+    mean, sens, rand = canonical_max_reference(
+        a.mean, a.sensitivities, a.sigma_random, b.mean, b.sensitivities, b.sigma_random
+    )
+    tolerance = Tolerance.kernel()
+    assert tolerance.check(fast.mean, mean)
+    assert tolerance.check(
+        np.append(fast.sensitivities, fast.sigma_random), np.append(sens, rand)
+    )
+    return fast
+
+
+class TestCanonicalMax:
+    @given(
+        st.integers(min_value=0, max_value=10**6),
+        st.integers(min_value=1, max_value=40),
+        st.floats(min_value=0.0, max_value=4.0),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_matches_seed_clark_on_generated_pairs(self, seed, n_factors, spread):
+        rng = np.random.default_rng(seed)
+
+        def form() -> CanonicalForm:
+            return CanonicalForm(
+                float(rng.uniform(100e-12, 100e-12 + spread * 10e-12)),
+                rng.normal(0.0, 4e-12, n_factors),
+                float(abs(rng.normal(0.0, 3e-12))),
+            )
+
+        assert_max_matches_seed(form(), form())
+
+    def test_identical_forms_degenerate_to_the_form(self):
+        form = CanonicalForm(150e-12, np.array([3e-12, -1e-12, 2e-12]), 0.0)
+        fast = assert_max_matches_seed(form, form)
+        assert fast.mean == form.mean
+        np.testing.assert_array_equal(fast.sensitivities, form.sensitivities)
+        assert fast.sigma_random == 0.0
+
+    def test_constant_shift_degenerates_to_the_later_form(self):
+        form = CanonicalForm(150e-12, np.array([3e-12, -1e-12, 2e-12]), 0.0)
+        later = form.shifted(7e-12)
+        for a, b in ((form, later), (later, form)):
+            fast = assert_max_matches_seed(a, b)
+            assert fast.mean == later.mean
+            np.testing.assert_array_equal(fast.sensitivities, later.sensitivities)
+
+    def test_zero_variance_forms_take_the_larger_mean(self):
+        small = CanonicalForm.constant(90e-12, 4)
+        large = CanonicalForm.constant(120e-12, 4)
+        fast = assert_max_matches_seed(small, large)
+        assert fast.mean == large.mean
+        assert fast.sigma == 0.0
+
+
+class TestReferenceIndependence:
+    def test_reference_imports_nothing_from_the_fast_path(self):
+        """The oracle's reference must not share code with what it checks."""
+        tree = ast.parse(pathlib.Path(reference.__file__).read_text())
+        imported = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                imported.update(alias.name for alias in node.names)
+            elif isinstance(node, ast.ImportFrom):
+                module = importlib.util.resolve_name(
+                    "." * node.level + (node.module or ""), "repro.timing"
+                )
+                imported.add(module)
+                imported.update(f"{module}.{alias.name}" for alias in node.names)
+        fast_path = ("repro.timing.ssta", "repro.timing.sta", "repro.core.clark")
+        shared = {
+            name
+            for name in imported
+            for module in fast_path
+            if name == module or name.startswith(module + ".")
+        }
+        assert not shared
+
+
 class TestEdgeCases:
     def test_single_gate_netlist(self):
         netlist = Netlist("single")
@@ -221,6 +310,12 @@ class TestEdgeCases:
         assert arrival_times(netlist, np.zeros(0)).shape == (0,)
         assert netlist.logic_depth() == 0
         assert netlist.timing_schedule().n_levels == 0
+        analyzer = StatisticalTimingAnalyzer(
+            default_technology(), VariationModel.combined()
+        )
+        form = analyzer.combinational_delay(netlist)
+        assert form.mean == 0.0 and form.sigma == 0.0
+        assert form.sensitivities.shape == (analyzer.n_factors,)
 
     def test_schedule_cache_reused_and_invalidated(self):
         netlist = inverter_chain(5)
