@@ -11,13 +11,12 @@ Measures, for each point of the Rent's-rule scale generator
 * ``peak_rss_mb`` -- the point's peak resident set, measured in a fresh
   subprocess so one size's allocations cannot pollute the next.
 
-Results go to ``benchmarks/results/perf_scale.json``.  The default run
-covers 100k and 300k gates; pass ``--full`` for the 1M point (a few
-minutes and several GB of RSS).
+Results go to ``benchmarks/results/perf_scale.json``.  A run covers 100k,
+300k and 1M gates.
 
 Run directly::
 
-    PYTHONPATH=src python benchmarks/bench_scale.py [--full]
+    PYTHONPATH=src python benchmarks/bench_scale.py
 
 or through pytest (asserts the 100k point's CI budgets)::
 
@@ -35,17 +34,17 @@ import time
 RESULTS_DIR = pathlib.Path(__file__).parent / "results"
 SRC_DIR = pathlib.Path(__file__).resolve().parent.parent / "src"
 
-DEFAULT_SIZES = (100_000, 300_000)
-FULL_SIZES = (100_000, 300_000, 1_000_000)
+DEFAULT_SIZES = (100_000, 300_000, 1_000_000)
 MC_SAMPLES = 24
 SEED = 2005
 
 #: CI budgets for the 100k point, set ~5x above the times measured when
 #: they were added (generate ~2.5 s, compile ~0.8 s, RSS ~600 MB) so
 #: starved CI runners pass while a 5x regression still fails loudly.  On
-#: a 2-vCPU container the point now measures generate ~0.7 s, compile
-#: ~1.3 s (it includes the first topological rebuild) and peak RSS
-#: ~230 MB.
+#: a 2-vCPU container the point now measures generate ~0.11 s, compile
+#: ~0.07 s (it includes the first topological rebuild) and peak RSS
+#: ~150 MB; the 1M point measures generate ~1.2 s, compile ~0.9 s and
+#: peak RSS ~920 MB, most of it in the Monte-Carlo run.
 BUDGET_100K_GENERATE_S = 15.0
 BUDGET_100K_COMPILE_S = 6.0
 BUDGET_100K_PEAK_RSS_MB = 2048.0
@@ -141,6 +140,5 @@ def test_scale_100k_within_budget():
 
 
 if __name__ == "__main__":
-    sizes = FULL_SIZES if "--full" in sys.argv[1:] else DEFAULT_SIZES
-    result = run_benchmark(sizes=sizes)
+    result = run_benchmark()
     print(json.dumps(result, indent=2))

@@ -248,6 +248,12 @@ def _add_mapped_gate(
             source=source,
             line=line,
         )
+    if widest == 1 and len(fanins) > 1:
+        raise ParseError(
+            f"gate {name!r}: cell {raw_type!r} takes one fanin, got {len(fanins)}",
+            source=source,
+            line=line,
+        )
     # Balanced tree reduction: chunk the pending signals into groups of at
     # most `widest`, realise each group as one library gate, repeat.  Only
     # the final gate keeps `name`; helpers are `name__t<i>`.
@@ -256,11 +262,11 @@ def _add_mapped_gate(
     while True:
         if len(pending) <= widest:
             cell = family.get(len(pending))
-            if cell is None:
+            if cell is None and len(pending) > 2:
                 # e.g. 3 signals left but the family only has arity 2 (or
                 # only arity 3, like AOI21): peel one pair off with the
                 # family's pair cell -- NAND2 when it has none -- and come
-                # around again.
+                # around again; a last pair is the gate itself.
                 chunk, pending = pending[:2], pending[2:]
                 helper_name = f"{name}__t{helper}"
                 helper += 1
@@ -271,7 +277,8 @@ def _add_mapped_gate(
                 pending.insert(0, helper_name)
                 continue
             netlist.add_gate(
-                name, cell, pending, size=size, x=x, y=y, allow_forward=True
+                name, cell or family.get(2, "NAND2"), pending, size=size, x=x,
+                y=y, allow_forward=True,
             )
             return
         chunk, pending = pending[:widest], pending[widest:]
@@ -297,9 +304,21 @@ _BENCH_IO_RE = re.compile(r"^(?P<dir>INPUT|OUTPUT)\s*\((?P<net>[^)]+)\)$", re.I)
 _PRAGMA_RE = re.compile(r"@(?P<key>\w+)=(?P<value>\S+)")
 
 
-def _parse_pragmas(comment: str) -> dict[str, float]:
+def _hex_float(text: str, what: str, *, source: str, line: int | None = None) -> float:
+    """A ``float.hex()`` value from a pragma or attribute, or a located error."""
+    try:
+        return float.fromhex(text)
+    except ValueError:
+        raise ParseError(
+            f"{what} {text!r} is not a float.hex() value", source=source, line=line
+        ) from None
+
+
+def _parse_pragmas(comment: str, *, source: str, line: int) -> dict[str, float]:
     return {
-        m.group("key"): float.fromhex(m.group("value"))
+        m.group("key"): _hex_float(
+            m.group("value"), f"pragma @{m.group('key')}", source=source, line=line
+        )
         for m in _PRAGMA_RE.finditer(comment)
     }
 
@@ -338,7 +357,7 @@ def parse_bench(
         line = line.strip()
         if not line:
             continue
-        pragmas = _parse_pragmas(comment)
+        pragmas = _parse_pragmas(comment, source=source, line=line_no)
         io_match = _BENCH_IO_RE.match(line)
         if io_match:
             net = io_match.group("net").strip()
@@ -494,6 +513,33 @@ def write_bench(netlist: Netlist, *, pragmas: bool = True) -> str:
 # ----------------------------------------------------------------------
 # Yosys JSON parsing / emission
 # ----------------------------------------------------------------------
+#: The JSON type name and the empty value of each Yosys-document field kind.
+_JSON_KINDS: dict[type, tuple[str, Any]] = {Mapping: ("object", {}), list: ("array", []), str: ("string", "")}
+
+
+def _json_field(container: Any, key: str | None, kind: type, what: str, source: str) -> Any:
+    """``container[key]`` of a Yosys document, checked to be a ``kind``.
+
+    An absent key reads as the empty ``kind``; ``key=None`` checks
+    ``container`` itself.  A value of the wrong JSON type raises a
+    :class:`ParseError` naming ``what``.
+    """
+    expected, empty = _JSON_KINDS[kind]
+    if key is None:
+        value = container
+    elif isinstance(container, Mapping):
+        value = container.get(key, empty)
+        what = f"{what} field {key!r}"
+    else:
+        value, kind, expected = container, Mapping, "object"
+    if not isinstance(value, kind):
+        raise ParseError(
+            f"{what} must be a JSON {expected}, got {type(value).__name__}",
+            source=source,
+        )
+    return value
+
+
 def parse_yosys_json(
     data: str | Mapping[str, Any],
     module: str | None = None,
@@ -523,14 +569,20 @@ def parse_yosys_json(
             raise ParseError(f"invalid JSON: {exc}", source=source) from exc
     else:
         document = data
+    if not isinstance(document, Mapping):
+        raise ParseError("document is not a JSON object", source=source)
     modules = document.get("modules")
     if not isinstance(modules, Mapping) or not modules:
         raise ParseError("document has no 'modules'", source=source)
+    for name, body in modules.items():
+        _json_field(body, None, Mapping, f"module {name!r}", source)
     if module is None:
         candidates = [
             name
             for name, body in modules.items()
-            if not body.get("attributes", {}).get("blackbox")
+            if not _json_field(body, "attributes", Mapping, f"module {name!r}", source).get(
+                "blackbox"
+            )
         ]
         if len(candidates) != 1:
             raise ParseError(
@@ -550,10 +602,11 @@ def parse_yosys_json(
     # Friendly names for bits: ports first, then named nets; anonymous bits
     # fall back to n<bit>.
     bit_names: dict[int, str] = {}
-    ports = body.get("ports", {})
-    for section in (ports, body.get("netnames", {})):
+    ports = _json_field(body, "ports", Mapping, "module", source)
+    netnames = _json_field(body, "netnames", Mapping, "module", source)
+    for section in (ports, netnames):
         for entry_name, entry in section.items():
-            bits = entry.get("bits", [])
+            bits = _json_field(entry, "bits", list, f"net {entry_name!r}", source)
             for position, bit in enumerate(bits):
                 if isinstance(bit, int) and bit not in bit_names:
                     suffix = "" if len(bits) == 1 else f"{position}"
@@ -568,6 +621,10 @@ def parse_yosys_json(
                 constants[name] = name
                 netlist.add_primary_input(name)
             return name
+        if not isinstance(bit, int):
+            raise ParseError(
+                f"net bit {bit!r} is neither an integer nor a constant", source=source
+            )
         return bit_names.get(bit, f"n{bit}")
 
     for port_name, port in ports.items():
@@ -583,11 +640,13 @@ def parse_yosys_json(
         if port.get("direction") == "output":
             output_bits.extend(net_of(bit) for bit in port.get("bits", []))
 
-    for cell_name, cell in body.get("cells", {}).items():
-        cell_type = cell.get("type", "")
-        connections = cell.get("connections", {})
-        directions = cell.get("port_directions", {})
-        attributes = cell.get("attributes", {})
+    cells = _json_field(body, "cells", Mapping, "module", source)
+    for cell_name, cell in cells.items():
+        what = f"cell {cell_name!r}"
+        cell_type = _json_field(cell, "type", str, what, source)
+        connections = _json_field(cell, "connections", Mapping, what, source)
+        directions = _json_field(cell, "port_directions", Mapping, what, source)
+        attributes = _json_field(cell, "attributes", Mapping, what, source)
         is_register = mapping.is_register(cell_type)
         out_nets: list[str] = []
         in_pins: list[tuple[str, list[str]]] = []
@@ -599,6 +658,7 @@ def parse_yosys_json(
                 is_output = pin_upper in _OUTPUT_PINS
             if pin_upper in _POWER_PINS:
                 continue
+            bits = _json_field(connections, pin, list, f"{what} pin", source)
             nets = [net_of(bit) for bit in bits]
             if is_output:
                 out_nets.extend(nets)
@@ -627,18 +687,20 @@ def parse_yosys_json(
                 f"supported)",
                 source=source,
             )
-        size = attributes.get("repro_size")
-        x = attributes.get("repro_x")
-        y = attributes.get("repro_y")
+        placement = {
+            key: _hex_float(value, f"{what} attribute {key}", source=source)
+            for key, value in attributes.items()
+            if key in ("repro_size", "repro_x", "repro_y") and isinstance(value, str)
+        }
         _add_mapped_gate(
             netlist,
             mapping,
             out_nets[0],
             cell_type,
             in_nets,
-            size=float.fromhex(size) if isinstance(size, str) else 1.0,
-            x=float.fromhex(x) if isinstance(x, str) else 0.5,
-            y=float.fromhex(y) if isinstance(y, str) else 0.5,
+            size=placement.get("repro_size", 1.0),
+            x=placement.get("repro_x", 0.5),
+            y=placement.get("repro_y", 0.5),
             source=source,
         )
 
@@ -757,10 +819,14 @@ def scale_logic_block(
       geometrically distributed number of levels (success probability
       ``locality``), so most wiring is short with occasional long hops.
 
-    Deterministic per ``(name, n_gates, seed, knobs)``; per-level draws are
-    vectorised so a 1M-gate block generates in seconds.  Placement is
-    assigned directly from (level, position) during generation -- identical
-    to :meth:`Netlist.auto_place` -- to avoid a second full pass.
+    Deterministic per ``(name, n_gates, seed, knobs)``.  Each level draws
+    its randomness as vectors and picks its fanins from those draws as
+    vectors -- integer references to earlier gates' slots or to primary
+    inputs -- and the whole block enters the netlist through one
+    :meth:`Netlist.add_gates` call, so a 1M-gate block generates in about
+    a second.  Placement is assigned directly from (level, position)
+    during generation -- identical to :meth:`Netlist.auto_place` -- to
+    avoid a second full pass.
     """
     if n_gates < 16:
         raise ValueError(f"scale_logic_block needs n_gates >= 16, got {n_gates}")
@@ -782,9 +848,8 @@ def scale_logic_block(
 
     rng = np.random.default_rng(seed)
     netlist = Netlist(name, library=library, technology=technology)
-    pis = [f"pi{i}" for i in range(n_inputs)]
-    for pi in pis:
-        netlist.add_primary_input(pi)
+    for index in range(n_inputs):
+        netlist.add_primary_input(f"pi{index}")
 
     # Level-size profile: fast ramp-in, long plateau, taper-out -- the
     # "barrel" shape placed netlist level histograms show.
@@ -795,75 +860,86 @@ def scale_logic_block(
     weights /= weights.sum()
     level_sizes = np.ones(depth, dtype=np.int64)
     level_sizes += rng.multinomial(n_gates - depth, weights)
+    level_start = np.zeros(depth + 1, dtype=np.int64)
+    np.cumsum(level_sizes, out=level_start[1:])
 
     cell_names = ["INV", "NAND2", "NOR2", "NAND3", "NOR3", "AOI21", "OAI21", "XOR2"]
     cell_inputs = np.array([1, 2, 2, 3, 3, 3, 3, 2])
     cell_weights = np.array([0.18, 0.28, 0.22, 0.08, 0.06, 0.07, 0.07, 0.04])
     cell_weights /= cell_weights.sum()
+    cell_ids = np.array([netlist.library.cell_id(cell) for cell in cell_names])
 
-    add_gate = netlist.add_gate
-    level_names: list[list[str]] = []  # gate names per level
-    hub_pool: list[str] = []
-    gate_counter = 0
+    # Fanins are integer references: a gate slot (slot == gate number, as
+    # gate g<i> is the i-th added) or ~i for primary input pi<i>.
+    level_cells: list[np.ndarray] = []  # indices into cell_names
+    level_fanins: list[np.ndarray] = []
+    hub_pool = np.zeros(0, dtype=np.int64)  # slots of recent levels' hubs
     for level in range(depth):
         k = int(level_sizes[level])
         cell_idx = rng.choice(len(cell_names), size=k, p=cell_weights)
-        n_extra = int(cell_inputs[cell_idx].sum()) - k
-        # Vectorised draws for the whole level, consumed sequentially.
-        prev = level_names[-1] if level_names else pis
-        first_pick = rng.integers(0, len(prev), size=k)
-        back_levels = rng.geometric(locality, size=max(n_extra, 1))
-        from_hub = rng.random(size=max(n_extra, 1)) < hub_bias
-        within = rng.random(size=max(n_extra, 1))
-        xs = (level + 0.5) / depth
-        ys = (np.arange(k) + 0.5) / k
-        extra_cursor = 0
-        names_this_level: list[str] = []
-        for position in range(k):
-            cell = int(cell_idx[position])
-            fanins = [prev[int(first_pick[position])]] if level > 0 else [
-                pis[int(first_pick[position])]
-            ]
-            for _ in range(int(cell_inputs[cell]) - 1):
-                if from_hub[extra_cursor] and hub_pool:
-                    pool = hub_pool
-                else:
-                    back = int(back_levels[extra_cursor])
-                    source_level = level - 1 - back
-                    if source_level < 0 or not level_names:
-                        pool = pis
-                    else:
-                        pool = level_names[max(source_level, 0)]
-                fanins.append(pool[int(within[extra_cursor] * len(pool))])
-                extra_cursor += 1
-            gate_name = f"g{gate_counter}"
-            gate_counter += 1
-            add_gate(
-                gate_name,
-                cell_names[cell],
-                fanins,
-                x=float(xs),
-                y=float(ys[position]),
-            )
-            names_this_level.append(gate_name)
-        level_names.append(names_this_level)
+        pins = cell_inputs[cell_idx]
+        n_extra = int(pins.sum()) - k
+        # The whole level's draws, in the order the fanins consume them.
+        prev_size = int(level_sizes[level - 1]) if level else n_inputs
+        first_pick = rng.integers(0, prev_size, size=k)
+        back_levels = rng.geometric(locality, size=max(n_extra, 1))[:n_extra]
+        from_hub = (rng.random(size=max(n_extra, 1)) < hub_bias)[:n_extra]
+        within = rng.random(size=max(n_extra, 1))[:n_extra]
+
+        # First fanin: a gate of the previous level (a primary input on
+        # level 0), which pins the block's depth.  Further fanins: a hub,
+        # or a gate `back` levels further up, or a primary input when that
+        # reaches above the first level.
+        if hub_pool.shape[0] == 0:
+            from_hub[:] = False
+        source_level = level - 1 - back_levels
+        from_pis = ~from_hub & (source_level < 0)
+        local = ~from_hub & ~from_pis
+        pool_size = np.full(n_extra, n_inputs)
+        pool_size[from_hub] = hub_pool.shape[0]
+        pool_size[local] = level_sizes[source_level[local]]
+        pick = (within * pool_size).astype(np.int64)
+        extra = ~pick
+        extra[from_hub] = hub_pool[pick[from_hub]]
+        extra[local] = level_start[source_level[local]] + pick[local]
+
+        fanins = np.empty(k + n_extra, dtype=np.int64)
+        row_start = np.cumsum(pins) - pins
+        is_first = np.zeros(k + n_extra, dtype=bool)
+        is_first[row_start] = True
+        fanins[is_first] = level_start[level - 1] + first_pick if level else ~first_pick
+        fanins[~is_first] = extra
+        level_cells.append(cell_idx)
+        level_fanins.append(fanins)
+
         n_hubs = max(1, int(hub_fraction * k))
-        hub_pool.extend(names_this_level[:n_hubs])
+        hubs = np.arange(level_start[level], level_start[level] + min(n_hubs, k))
         # Keep the hub pool bounded and biased to recent levels.
-        if len(hub_pool) > 4096:
-            hub_pool = hub_pool[-4096:]
+        hub_pool = np.concatenate([hub_pool, hubs])[-4096:]
+
+    cell_idx = np.concatenate(level_cells)
+    fanin_ptr = np.zeros(n_gates + 1, dtype=np.int64)
+    np.cumsum(cell_inputs[cell_idx], out=fanin_ptr[1:])
+    names = [f"g{slot}" for slot in range(n_gates)]
+    netlist.add_gates(
+        names,
+        cell_ids[cell_idx],
+        fanin_ptr,
+        np.concatenate(level_fanins),
+        x=np.repeat([(level + 0.5) / depth for level in range(depth)], level_sizes),
+        y=np.concatenate([(np.arange(k) + 0.5) / k for k in level_sizes.tolist()]),
+    )
 
     # Primary outputs from the deepest levels.
-    chosen: list[str] = []
-    for level in reversed(level_names):
-        for gate_name in level:
-            chosen.append(gate_name)
-            if len(chosen) == n_outputs:
-                break
+    chosen: list[int] = []
+    for level in reversed(range(depth)):
+        start = int(level_start[level])
+        take = min(int(level_sizes[level]), n_outputs - len(chosen))
+        chosen.extend(range(start, start + take))
         if len(chosen) == n_outputs:
             break
-    for gate_name in chosen:
-        netlist.mark_primary_output(gate_name)
+    for slot in chosen:
+        netlist.mark_primary_output(names[slot])
     return netlist
 
 

@@ -11,15 +11,22 @@ Design notes
 * Gates and primary inputs are identified by string names; primary inputs
   are modelled as zero-delay sources.
 * The netlist is the one store of per-gate data.  It holds one column per
-  attribute (name, cell id, fanin names, size, x, y), indexed by insertion
-  slot.  :meth:`Netlist.add_gate` appends to Python lists; the size and
-  placement columns become NumPy arrays at the next query.  A
-  :class:`Gate` is a view of one slot, not a separate object.
-* A structural rebuild orders the gates topologically and keeps one
-  permutation from topological position to insertion slot.  The vectorised
-  accessors (sizes, placement, cell coefficients) gather through it and are
-  cached until the structure changes or a size/placement write bumps the
-  value version; each call still returns fresh, writable arrays.
+  attribute (name, cell id, fanins, size, x, y), indexed by insertion slot.
+  The fanins of every gate live once, in one CSR column of integer
+  references -- a gate slot, or ``~i`` for primary input ``i``; a name is
+  kept only for a forward reference (``allow_forward=True``) until the next
+  rebuild resolves it.  :meth:`Netlist.add_gate` appends one gate to
+  Python arrays without NumPy work; :meth:`Netlist.add_gates` appends a
+  whole generated block at once.  A :class:`Gate` is a view of one slot,
+  not a separate object.
+* A structural rebuild sorts the gates topologically one frontier (logic
+  level) at a time and keeps one permutation from topological position to
+  insertion slot, the levels and the fanin CSR in topological indexing,
+  from which :meth:`Netlist.timing_schedule` compiles the timing schedule.
+  The vectorised accessors (sizes, placement, cell coefficients) gather
+  through the permutation and are cached until the structure changes or a
+  size/placement write bumps the value version; each call still returns
+  fresh, writable arrays.
 * Placement is in normalised die coordinates ([0, 1] x [0, 1]).  A helper
   places gates by logic level inside an arbitrary rectangular region so a
   pipeline can lay its stages side by side across the die, which is what
@@ -29,13 +36,21 @@ Design notes
 from __future__ import annotations
 
 from array import array
+from bisect import bisect_right
 from collections.abc import Iterable, Iterator, Mapping
 
 import numpy as np
 
 from repro.circuit.cell_library import CellLibrary, standard_cell_library
-from repro.circuit.schedule import TimingSchedule, compile_schedule
+from repro.circuit.schedule import TimingSchedule, compile_schedule, gather_rows
 from repro.process.technology import Technology, default_technology
+
+
+def _csr_to_lists(ptr: np.ndarray, idx: np.ndarray) -> list[list[int]]:
+    """A CSR adjacency as one Python list of ints per row."""
+    entries = idx.tolist()
+    bounds = ptr.tolist()
+    return [entries[start:stop] for start, stop in zip(bounds, bounds[1:])]
 
 
 class NetlistError(ValueError):
@@ -103,7 +118,10 @@ class Gate:
         Name of the cell type in the library (e.g. ``"NAND2"``).
     fanins:
         Names of the driving nodes (gates or primary inputs), in pin order.
-        Assigning new fanins marks the netlist's structure dirty.
+        Assigning new fanins rewrites the gate's row in place and marks the
+        netlist's structure dirty; the cell's pin count is checked as in
+        :meth:`Netlist.add_gate`, while a name that does not exist yet is
+        resolved (or reported as dangling) at the next rebuild.
     size:
         Drive strength in multiples of a minimum-size device.
     x, y:
@@ -130,12 +148,26 @@ class Gate:
 
     @property
     def fanins(self) -> tuple[str, ...]:
-        return self._netlist._fanins[self._slot]
+        netlist = self._netlist
+        ptr = netlist._fanin_ptr
+        return tuple(
+            netlist._net_name(entry)
+            for entry in range(ptr[self._slot], ptr[self._slot + 1])
+        )
 
     @fanins.setter
     def fanins(self, fanins: Iterable[str]) -> None:
-        self._netlist._fanins[self._slot] = tuple(fanins)
-        self._netlist._dirty = True
+        netlist = self._netlist
+        fanins = tuple(fanins)
+        netlist._check_pin_count(self.name, netlist._cell_ids[self._slot], len(fanins))
+        refs, forward = netlist._references(self.name, fanins, allow_forward=True)
+        first = netlist._fanin_ptr[self._slot]
+        for pin, ref in enumerate(refs):
+            netlist._fanins[first + pin] = ref
+            netlist._forward.pop(first + pin, None)
+        for pin in forward:
+            netlist._forward[first + pin] = fanins[pin]
+        netlist._dirty = True
 
     size = _value_column(_SIZE, "Drive strength in multiples of a minimum-size device.")
     x = _value_column(_X, "Horizontal placement in normalised die coordinates.")
@@ -204,23 +236,34 @@ class Netlist:
         # Per-gate columns, indexed by insertion slot.
         self._names: list[str] = []
         self._slot: dict[str, int] = {}
-        self._cell_ids: list[int] = []
-        self._fanins: list[tuple[str, ...]] = []
+        self._cell_ids = array("q")
+        # Fanins as one CSR column: gate s reads
+        # _fanins[_fanin_ptr[s]:_fanin_ptr[s + 1]], in pin order, each entry
+        # a gate slot (>= 0) or ~i for primary input i.  An entry whose net
+        # did not exist when it was written keeps the name in _forward
+        # (entry index -> name) until a rebuild resolves it.
+        self._fanin_ptr = array("q", [0])
+        self._fanins = array("q")
+        self._forward: dict[int, str] = {}
         # Size, x and y as the rows of one NumPy array, plus the interleaved
         # values of gates added since it was last built (see _columns()).
         self._values = np.zeros((3, 0))
         self._appended = array("d")
         self._primary_inputs: list[str] = []
-        self._input_set: set[str] = set()
+        self._input_index: dict[str, int] = {}
         self._primary_outputs: list[str] = []
         self._output_set: set[str] = set()
         self._dirty = True
 
-        # Structure built by _rebuild()
-        self._order: list[str] = []
-        self._perm: np.ndarray = np.zeros(0, dtype=np.intp)  # position -> slot
-        self._fanin_indices: list[list[int]] = []
-        self._fanout_indices: list[list[int]] = []
+        # Structure built by _rebuild(): the topological permutation
+        # (position -> slot), the 0-based level of every position, the gate
+        # fanin CSR in topological indexing, and the primary-output mask.
+        self._perm: np.ndarray = np.zeros(0, dtype=np.intp)
+        self._levels: np.ndarray = np.zeros(0, dtype=np.int32)
+        self._topo_fanins: tuple[np.ndarray, np.ndarray] = (
+            np.zeros(1, dtype=np.int32),
+            np.zeros(0, dtype=np.int32),
+        )
         self._is_po: np.ndarray = np.zeros(0, dtype=bool)
         # Compiled timing schedule (levelized CSR), built lazily per
         # structural version; see timing_schedule().
@@ -237,14 +280,14 @@ class Netlist:
     # ------------------------------------------------------------------
     def add_primary_input(self, name: str) -> None:
         """Declare a primary input node."""
-        if name in self._slot or name in self._input_set:
+        if name in self._slot or name in self._input_index:
             raise NetlistError(
                 f"node {name!r} already exists in netlist {self.name!r}",
                 netlist=self.name,
                 gate=name,
             )
+        self._input_index[name] = len(self._primary_inputs)
         self._primary_inputs.append(name)
-        self._input_set.add(name)
         self._dirty = True
 
     def add_gate(
@@ -266,54 +309,184 @@ class Netlist:
         :meth:`validate` or first structural query) rather than silently
         levelising wrong.
         """
-        if name in self._slot or name in self._input_set:
-            raise NetlistError(
-                f"duplicate gate name {name!r} in netlist {self.name!r}",
-                netlist=self.name,
-                gate=name,
-            )
+        if name in self._slot or name in self._input_index:
+            raise self._duplicate(name)
         try:
             cell_id = self.library.cell_id(cell)
         except KeyError:
-            raise NetlistLookupError(
-                f"gate {name!r}: cell {cell!r} not in library for netlist "
-                f"{self.name!r}; available cells: {self.library.names}",
-                netlist=self.name,
-                gate=name,
-            ) from None
-        n_inputs = self.library.cell_at(cell_id).n_inputs
+            raise self._unknown_cell(name, cell) from None
         fanins = tuple(fanins)
-        if len(fanins) != n_inputs:
-            raise NetlistError(
-                f"gate {name!r}: cell {cell} expects {n_inputs} fanins, "
-                f"got {len(fanins)}",
-                netlist=self.name,
-                gate=name,
-            )
-        if not allow_forward:
-            for fanin in fanins:
-                if fanin not in self._slot and fanin not in self._input_set:
-                    raise NetlistLookupError(
-                        f"gate {name!r}: fanin {fanin!r} is not a known gate or "
-                        f"primary input",
-                        netlist=self.name,
-                        gate=name,
-                        net=fanin,
-                    )
+        self._check_pin_count(name, cell_id, len(fanins))
+        refs, forward = self._references(name, fanins, allow_forward)
         if size <= 0.0:
-            raise NetlistError(
-                f"gate {name!r}: size must be positive, got {size}",
-                netlist=self.name,
-                gate=name,
-            )
+            raise self._bad_size(name, size)
         slot = len(self._names)
+        first = len(self._fanins)
+        for pin in forward:
+            self._forward[first + pin] = fanins[pin]
         self._slot[name] = slot
         self._names.append(name)
         self._cell_ids.append(cell_id)
-        self._fanins.append(fanins)
+        self._fanins.extend(refs)
+        self._fanin_ptr.append(len(self._fanins))
         self._appended.extend((size, x, y))
         self._dirty = True
         return Gate(self, slot)
+
+    def add_gates(
+        self,
+        names: list[str],
+        cells: np.ndarray,
+        fanin_ptr: np.ndarray,
+        fanins: np.ndarray,
+        *,
+        sizes: float | np.ndarray = 1.0,
+        x: float | np.ndarray = 0.5,
+        y: float | np.ndarray = 0.5,
+    ) -> None:
+        """Append a block of gates at once: the bulk form of :meth:`add_gate`.
+
+        ``cells`` holds library cell ids (:meth:`CellLibrary.cell_id`) and
+        ``fanin_ptr``/``fanins`` the block's fanins as CSR rows of integer
+        references: the slot of an earlier gate (``n_gates`` is the slot of
+        the block's first gate) or ``~i`` for primary input ``i``.  The
+        whole block is validated before anything is written; the first bad
+        gate raises the located :class:`NetlistError` that :meth:`add_gate`
+        would raise for it.
+        """
+        first = len(self._names)
+        count = len(names)
+        cells = np.asarray(cells, dtype=np.int64)
+        fanin_ptr = np.asarray(fanin_ptr, dtype=np.int64)
+        fanins = np.asarray(fanins, dtype=np.int64)
+        values = np.empty((3, count))
+        values[_SIZE], values[_X], values[_Y] = sizes, x, y
+        if (
+            cells.shape != (count,)
+            or fanin_ptr.shape != (count + 1,)
+            or fanin_ptr[0] != 0
+            or fanin_ptr[-1] != fanins.shape[0]
+            or np.any(fanin_ptr[1:] < fanin_ptr[:-1])
+        ):
+            raise ValueError(
+                f"add_gates needs {count} cell ids and a CSR fanin_ptr of "
+                f"length {count + 1} from 0 to len(fanins) = {fanins.shape[0]}"
+            )
+        counts = np.diff(fanin_ptr)
+        known = (cells >= 0) & (cells < len(self.library))
+        n_inputs = self.library.coefficient_table["n_inputs"][np.where(known, cells, 0)]
+        owner = np.repeat(np.arange(first, first + count), counts)
+        bad = ~known | (counts != n_inputs) | (values[_SIZE] <= 0.0)
+        bad[owner[(fanins < -len(self._primary_inputs)) | (fanins >= owner)] - first] = True
+        # Names go straight into the name index; a duplicate shows as a short
+        # count, and a rejected block restores the index from the name column.
+        self._slot.update(zip(names, range(first, first + count)))
+        if (
+            bad.any()
+            or len(self._slot) != first + count
+            or any(name in self._slot for name in self._input_index)
+        ):
+            self._slot = dict(zip(self._names, range(first)))
+            self._raise_block_error(names, cells, fanin_ptr, fanins, values[_SIZE])
+        self._names.extend(names)
+        self._cell_ids.frombytes(cells.tobytes())
+        self._fanin_ptr.frombytes((fanin_ptr[1:] + len(self._fanins)).tobytes())
+        self._fanins.frombytes(fanins.tobytes())
+        self._values = np.concatenate([self._columns(), values], axis=1)
+        self._dirty = True
+
+    def _raise_block_error(self, names, cells, fanin_ptr, fanins, sizes) -> None:
+        """Raise :meth:`add_gate`'s error for the first bad gate of a block."""
+        first = len(self._names)
+        seen: set[str] = set()
+        for row, name in enumerate(names):
+            if name in self._slot or name in self._input_index or name in seen:
+                raise self._duplicate(name)
+            seen.add(name)
+            cell_id = int(cells[row])
+            if not 0 <= cell_id < len(self.library):
+                raise self._unknown_cell(name, cell_id)
+            row_refs = fanins[fanin_ptr[row] : fanin_ptr[row + 1]].tolist()
+            self._check_pin_count(name, cell_id, len(row_refs))
+            for ref in row_refs:
+                if ref < first + row and ref >= -len(self._primary_inputs):
+                    continue
+                if first + row <= ref < first + len(names):
+                    net = names[ref - first]
+                else:
+                    net = f"<fanin reference {ref}>"
+                raise self._unknown_fanin(name, net)
+            if sizes[row] <= 0.0:
+                raise self._bad_size(name, float(sizes[row]))
+        raise AssertionError("no bad gate in a block that failed validation")
+
+    def _references(
+        self, name: str, fanins: tuple[str, ...], allow_forward: bool
+    ) -> tuple[list[int], list[int]]:
+        """Fanin names as references, plus the pins that name no node yet."""
+        refs: list[int] = []
+        forward: list[int] = []
+        for pin, net in enumerate(fanins):
+            ref = self._slot.get(net)
+            if ref is None:
+                index = self._input_index.get(net)
+                if index is not None:
+                    ref = ~index
+                elif allow_forward:
+                    forward.append(pin)
+                    ref = 0  # placeholder; the name is kept in _forward
+                else:
+                    raise self._unknown_fanin(name, net)
+            refs.append(ref)
+        return refs, forward
+
+    def _net_name(self, entry: int) -> str:
+        """The name of the node fanin entry ``entry`` refers to."""
+        name = self._forward.get(entry)
+        if name is None:
+            ref = self._fanins[entry]
+            name = self._names[ref] if ref >= 0 else self._primary_inputs[~ref]
+        return name
+
+    def _check_pin_count(self, name: str, cell_id: int, n_fanins: int) -> None:
+        cell = self.library.cell_at(cell_id)
+        if n_fanins != cell.n_inputs:
+            raise NetlistError(
+                f"gate {name!r}: cell {cell.name} expects {cell.n_inputs} fanins, "
+                f"got {n_fanins}",
+                netlist=self.name,
+                gate=name,
+            )
+
+    def _duplicate(self, name: str) -> NetlistError:
+        return NetlistError(
+            f"duplicate gate name {name!r} in netlist {self.name!r}",
+            netlist=self.name,
+            gate=name,
+        )
+
+    def _unknown_cell(self, name: str, cell: object) -> NetlistLookupError:
+        return NetlistLookupError(
+            f"gate {name!r}: cell {cell!r} not in library for netlist "
+            f"{self.name!r}; available cells: {self.library.names}",
+            netlist=self.name,
+            gate=name,
+        )
+
+    def _unknown_fanin(self, name: str, net: str) -> NetlistLookupError:
+        return NetlistLookupError(
+            f"gate {name!r}: fanin {net!r} is not a known gate or primary input",
+            netlist=self.name,
+            gate=name,
+            net=net,
+        )
+
+    def _bad_size(self, name: str, size: float) -> NetlistError:
+        return NetlistError(
+            f"gate {name!r}: size must be positive, got {size}",
+            netlist=self.name,
+            gate=name,
+        )
 
     def mark_primary_output(self, name: str) -> None:
         """Mark a gate as a primary output of the block."""
@@ -419,58 +592,27 @@ class Netlist:
     # Structure caches
     # ------------------------------------------------------------------
     def _rebuild(self) -> None:
-        """Rebuild topological order, the slot permutation and fanin/fanout caches.
+        """Rebuild the topological order, the levels and the fanin CSR.
 
-        Kahn's algorithm over insertion slots: the gates ready at the start
-        in name order, then first in, first out.  Insertion order and this
-        tie-break fix the topological order every timing result follows
-        (DESIGN.md "Round-trip bit-exactness").
+        Kahn's algorithm over insertion slots, one frontier at a time: the
+        gates with no gate fanins in name order, then, level by level, every
+        gate whose last gate fanin the previous frontier holds.  A released
+        gate takes the place of its last occurrence in the frontier's fanout
+        lists (frontier order, slots ascending, repeated pins repeated) --
+        the order a first-in, first-out Kahn sort releases it in.  Insertion
+        order and this tie-break fix the topological order every timing
+        result follows (DESIGN.md "Round-trip bit-exactness"); the frontier
+        index is the logic level.
         """
-        names, fanins_of, slot_of = self._names, self._fanins, self._slot
-        inputs = self._input_set
-        in_degree = [0] * len(names)
-        dependents: dict[str, list[int]] = {}
-        dangling: list[tuple[str, str]] = []
-        for slot, fanins in enumerate(fanins_of):
-            gate_fanin_count = 0
-            for fanin in fanins:
-                if fanin in slot_of:
-                    gate_fanin_count += 1
-                    dependents.setdefault(fanin, []).append(slot)
-                elif fanin not in inputs:
-                    dangling.append((names[slot], fanin))
-            in_degree[slot] = gate_fanin_count
-
-        if dangling:
-            gate_name, net = dangling[0]
-            listing = ", ".join(
-                f"{g!r} -> {n!r}" for g, n in dangling[:5]
-            ) + ("..." if len(dangling) > 5 else "")
-            raise NetlistError(
-                f"netlist {self.name!r} has {len(dangling)} fanin reference(s) to "
-                f"net(s) that are never defined (gate -> missing net): {listing}",
-                netlist=self.name,
-                gate=gate_name,
-                net=net,
-            )
-
-        order = sorted(
-            (slot for slot, degree in enumerate(in_degree) if degree == 0),
-            key=names.__getitem__,
-        )
-        position = 0
-        while position < len(order):
-            for successor in dependents.get(names[order[position]], ()):
-                in_degree[successor] -= 1
-                if in_degree[successor] == 0:
-                    order.append(successor)
-            position += 1
-
-        if len(order) != len(names):
-            placed = set(order)
-            unresolved = {
-                name for slot, name in enumerate(names) if slot not in placed
-            }
+        self._resolve_forward()
+        names = self._names
+        n_gates = len(names)
+        sources, sinks = self._gate_arcs()
+        in_degree = np.bincount(sinks, minlength=n_gates)
+        frontiers = self._frontiers(sources, sinks, in_degree)
+        perm = np.concatenate(frontiers) if frontiers else np.zeros(0, dtype=np.intp)
+        if perm.shape[0] != n_gates:
+            unresolved = set(names) - {names[slot] for slot in perm.tolist()}
             cycle = self._find_cycle(unresolved)
             raise NetlistError(
                 f"netlist {self.name!r} contains a combinational cycle: "
@@ -479,30 +621,104 @@ class Netlist:
                 gate=cycle[0],
             )
 
-        position_of = [0] * len(order)  # insertion slot -> topological position
-        for position, slot in enumerate(order):
-            position_of[slot] = position
-        fanin_indices = [
-            [position_of[slot_of[f]] for f in fanins_of[slot] if f in slot_of]
-            for slot in order
-        ]
-        fanout_indices: list[list[int]] = [[] for _ in order]
-        for gate_pos, fanins in enumerate(fanin_indices):
-            for fanin_pos in fanins:
-                fanout_indices[fanin_pos].append(gate_pos)
+        # The fanin CSR in topological indexing: row p holds the gate fanins
+        # of slot perm[p], in pin order, as positions.
+        position_of = np.empty(n_gates, dtype=np.intp)
+        position_of[perm] = np.arange(n_gates)
+        slot_ptr = np.zeros(n_gates + 1, dtype=np.intp)
+        np.cumsum(in_degree, out=slot_ptr[1:])
+        fanin_ptr = np.zeros(n_gates + 1, dtype=np.int32)
+        np.cumsum(in_degree[perm], out=fanin_ptr[1:])
+        fanin_idx = position_of[gather_rows(slot_ptr, sources, perm)].astype(np.int32)
+        is_po = np.zeros(n_gates, dtype=bool)
+        is_po[np.array([self._slot[name] for name in self._primary_outputs], dtype=np.intp)] = True
 
-        is_po = np.zeros(len(order), dtype=bool)
-        for name in self._primary_outputs:
-            is_po[position_of[slot_of[name]]] = True
-
-        self._order = [names[slot] for slot in order]
-        self._perm = np.array(order, dtype=np.intp)
-        self._fanin_indices = fanin_indices
-        self._fanout_indices = fanout_indices
-        self._is_po = is_po
+        self._perm = perm
+        self._levels = np.repeat(
+            np.arange(len(frontiers), dtype=np.int32), [f.shape[0] for f in frontiers]
+        )
+        self._topo_fanins = (fanin_ptr, fanin_idx)
+        self._is_po = is_po[perm]
         self._structure_version += 1
         self._schedule = None
         self._dirty = False
+
+    def _gate_arcs(self) -> tuple[np.ndarray, np.ndarray]:
+        """Every gate-to-gate fanin arc as (source slot, sink slot) arrays.
+
+        Arcs run sink by sink in slot order, pins in order, repeated pins
+        repeated; primary-input fanins are left out.
+        """
+        refs = np.array(self._fanins, dtype=np.intp)
+        row_ptr = np.array(self._fanin_ptr, dtype=np.intp)
+        sinks = np.repeat(np.arange(len(self._names)), np.diff(row_ptr))
+        is_gate = refs >= 0
+        return refs[is_gate], sinks[is_gate]
+
+    def _frontiers(
+        self, sources: np.ndarray, sinks: np.ndarray, in_degree: np.ndarray
+    ) -> list[np.ndarray]:
+        """The slots of each logic level, in first-in, first-out Kahn order.
+
+        Each step gathers the frontier's fanout lists, counts down the
+        in-degrees they reach, and keeps every gate that reaches zero at its
+        last occurrence: one CSR gather and two unbuffered ``ufunc.at``
+        updates per level.  Gates on or behind a cycle are never released.
+        """
+        names = self._names
+        n_gates = len(names)
+        fanout_ptr = np.zeros(n_gates + 1, dtype=np.intp)
+        np.cumsum(np.bincount(sources, minlength=n_gates), out=fanout_ptr[1:])
+        fanouts = sinks[np.argsort(sources, kind="stable")]
+        remaining = in_degree.copy()
+        last_seen = np.full(n_gates, -1, dtype=np.intp)
+        frontier = np.array(
+            sorted(np.flatnonzero(in_degree == 0).tolist(), key=names.__getitem__),
+            dtype=np.intp,
+        )
+        frontiers: list[np.ndarray] = []
+        while frontier.shape[0]:
+            frontiers.append(frontier)
+            released = gather_rows(fanout_ptr, fanouts, frontier)
+            np.subtract.at(remaining, released, 1)
+            hits = np.flatnonzero(remaining[released] == 0)
+            released = released[hits]
+            np.maximum.at(last_seen, released, hits)
+            frontier = released[last_seen[released] == hits]
+        return frontiers
+
+    def _resolve_forward(self) -> None:
+        """Turn forward-referenced names into references, or report them.
+
+        Raises a located :class:`NetlistError` naming the first gate (in
+        insertion order, then pin order) whose fanin net is never defined.
+        """
+        dangling: list[int] = []
+        for entry, net in sorted(self._forward.items()):
+            ref = self._slot.get(net)
+            if ref is None:
+                index = self._input_index.get(net)
+                if index is None:
+                    dangling.append(entry)
+                    continue
+                ref = ~index
+            self._fanins[entry] = ref
+            del self._forward[entry]
+        if dangling:
+            pairs = [
+                (self._names[bisect_right(self._fanin_ptr, entry) - 1], self._forward[entry])
+                for entry in dangling[:5]
+            ]
+            listing = ", ".join(f"{g!r} -> {n!r}" for g, n in pairs) + (
+                "..." if len(dangling) > 5 else ""
+            )
+            raise NetlistError(
+                f"netlist {self.name!r} has {len(dangling)} fanin reference(s) to "
+                f"net(s) that are never defined (gate -> missing net): {listing}",
+                netlist=self.name,
+                gate=pairs[0][0],
+                net=pairs[0][1],
+            )
 
     def _find_cycle(self, unresolved: set[str]) -> list[str]:
         """Walk the unresolved gates to extract one actual cycle path."""
@@ -515,7 +731,7 @@ class Netlist:
             path.append(node)
             # Follow any fanin that is itself unresolved; one always exists,
             # otherwise the gate would have been scheduled.
-            node = next(f for f in self._fanins[self._slot[node]] if f in unresolved)
+            node = next(f for f in Gate(self, self._slot[node]).fanins if f in unresolved)
         return path[seen[node]:]
 
     def _ensure_current(self) -> None:
@@ -524,23 +740,31 @@ class Netlist:
 
     def topological_order(self) -> list[str]:
         """Gate names in a valid topological (fanin-before-fanout) order."""
-        self._ensure_current()
-        return list(self._order)
+        names = self._names
+        order = self._gathered(
+            "order", lambda: [names[slot] for slot in self._perm.tolist()], values=False
+        )
+        return list(order)
 
     def gate_index(self) -> dict[str, int]:
         """Mapping from gate name to its position in topological order."""
-        self._ensure_current()
-        return {name: position for position, name in enumerate(self._order)}
+        return {name: position for position, name in enumerate(self.topological_order())}
 
     def fanin_indices(self) -> list[list[int]]:
-        """Per-gate list of fanin positions (topological indexing)."""
-        self._ensure_current()
-        return self._fanin_indices
+        """Per-gate list of fanin positions (topological indexing).
+
+        Built on demand from the timing schedule's CSR; nothing keeps it.
+        """
+        schedule = self.timing_schedule()
+        return _csr_to_lists(schedule.fanin_ptr, schedule.fanin_idx)
 
     def fanout_indices(self) -> list[list[int]]:
-        """Per-gate list of fanout positions (topological indexing)."""
-        self._ensure_current()
-        return self._fanout_indices
+        """Per-gate list of fanout positions (topological indexing).
+
+        Built on demand from the timing schedule's CSR; nothing keeps it.
+        """
+        schedule = self.timing_schedule()
+        return _csr_to_lists(schedule.fanout_ptr, schedule.fanout_idx)
 
     def output_mask(self) -> np.ndarray:
         """Boolean mask (topological indexing) of primary-output gates."""
@@ -556,8 +780,9 @@ class Netlist:
         """
         self._ensure_current()
         if self._schedule is None:
+            fanin_ptr, fanin_idx = self._topo_fanins
             self._schedule = compile_schedule(
-                self._fanin_indices, self._fanout_indices, self._structure_version
+                fanin_ptr, fanin_idx, self._levels, self._structure_version
             )
         return self._schedule
 
@@ -572,9 +797,9 @@ class Netlist:
         """Assign gate sizes from an array in topological order."""
         self._ensure_current()
         sizes = np.asarray(sizes, dtype=float)
-        if sizes.shape != (len(self._order),):
+        if sizes.shape != (self.n_gates,):
             raise ValueError(
-                f"expected {len(self._order)} sizes, got array of shape {sizes.shape}"
+                f"expected {self.n_gates} sizes, got array of shape {sizes.shape}"
             )
         if np.any(sizes <= 0.0):
             raise ValueError("all gate sizes must be positive")
@@ -640,11 +865,13 @@ class Netlist:
 
     def logic_depth(self) -> int:
         """Maximum number of gates on any input-to-output path."""
-        return self.timing_schedule().n_levels
+        self._ensure_current()
+        return int(self._levels[-1]) + 1 if self.n_gates else 0
 
     def levels(self) -> np.ndarray:
         """Logic level of every gate (topological order), starting at 1."""
-        return self.timing_schedule().levels.astype(int) + 1
+        self._ensure_current()
+        return self._levels.astype(int) + 1
 
     # ------------------------------------------------------------------
     # Placement
@@ -697,11 +924,13 @@ class Netlist:
         )
         clone._names = list(self._names)
         clone._slot = dict(self._slot)
-        clone._cell_ids = list(self._cell_ids)
-        clone._fanins = list(self._fanins)
+        clone._cell_ids = array("q", self._cell_ids)
+        clone._fanin_ptr = array("q", self._fanin_ptr)
+        clone._fanins = array("q", self._fanins)
+        clone._forward = dict(self._forward)
         clone._values = self._columns().copy()
         clone._primary_inputs = list(self._primary_inputs)
-        clone._input_set = set(self._input_set)
+        clone._input_index = dict(self._input_index)
         clone._primary_outputs = list(self._primary_outputs)
         clone._output_set = set(self._output_set)
         return clone

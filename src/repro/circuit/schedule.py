@@ -18,6 +18,12 @@ independent, so a timing kernel can process an entire level -- and an entire
 block of Monte-Carlo samples -- with a handful of NumPy gather/``reduceat``
 operations instead of a Python loop.
 
+:func:`compile_schedule` takes the structure as the netlist's rebuild
+leaves it: the gate-fanin CSR in topological indexing and each position's
+level, non-decreasing.  Every level is then a contiguous range of
+positions, so its fanin and fanout entries are contiguous CSR slices and
+compiling costs a fixed handful of NumPy calls per level.
+
 The schedule is immutable and versioned.  :meth:`repro.circuit.netlist.Netlist.timing_schedule`
 caches one per structural version of the netlist and rebuilds it lazily
 through the existing ``_ensure_current()`` mechanism, so the sizers can
@@ -31,16 +37,18 @@ from dataclasses import dataclass, field
 import numpy as np
 
 
-def _csr_from_lists(lists: list[list[int]]) -> tuple[np.ndarray, np.ndarray]:
-    """Pack a list-of-lists adjacency into (ptr, idx) CSR arrays (int32)."""
-    counts = np.fromiter((len(entry) for entry in lists), dtype=np.int32, count=len(lists))
-    ptr = np.zeros(len(lists) + 1, dtype=np.int32)
-    np.cumsum(counts, out=ptr[1:])
-    if ptr[-1]:
-        idx = np.concatenate([np.asarray(entry, dtype=np.int32) for entry in lists if entry])
-    else:
-        idx = np.zeros(0, dtype=np.int32)
-    return ptr, idx
+def gather_rows(ptr: np.ndarray, idx: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """Concatenate the entries of the CSR rows ``rows``, in the order given.
+
+    One ``repeat`` plus one ``arange`` turn the rows' start offsets into the
+    flat positions of their entries, so the gather costs a fixed handful of
+    NumPy calls however many rows it spans.
+    """
+    starts = ptr[rows]
+    counts = ptr[rows + 1] - starts
+    ends = np.cumsum(counts)
+    total = int(ends[-1]) if ends.shape[0] else 0
+    return idx[np.repeat(starts - (ends - counts), counts) + np.arange(total)]
 
 
 def expand_csr_rows(
@@ -55,17 +63,9 @@ def expand_csr_rows(
     gates without a Python loop.
     """
     rows = np.asarray(rows, dtype=np.int64)
-    counts = (ptr[rows + 1] - ptr[rows]).astype(np.int64)
-    total = int(counts.sum())
-    if total == 0:
-        return np.zeros(0, dtype=idx.dtype), np.zeros(0, dtype=np.int64)
+    counts = ptr[rows + 1] - ptr[rows]
     owner = np.repeat(np.arange(rows.shape[0], dtype=np.int64), counts)
-    # Offsets of each flat slot inside its own row segment.
-    starts = np.repeat(ptr[rows].astype(np.int64), counts)
-    within = np.arange(total, dtype=np.int64) - np.repeat(
-        np.cumsum(counts) - counts, counts
-    )
-    return idx[starts + within], owner
+    return gather_rows(ptr, idx, rows), owner
 
 
 @dataclass(frozen=True)
@@ -165,33 +165,35 @@ class TimingSchedule:
 
 
 def compile_schedule(
-    fanin_lists: list[list[int]],
-    fanout_lists: list[list[int]],
+    fanin_ptr: np.ndarray,
+    fanin_idx: np.ndarray,
+    levels: np.ndarray,
     version: int,
 ) -> TimingSchedule:
-    """Compile list-of-list adjacency into a :class:`TimingSchedule`.
+    """Compile a levelised fanin CSR into a :class:`TimingSchedule`.
 
-    The input lists use topological gate indexing (fanins of a gate always
-    have smaller indices), which is what ``Netlist._rebuild`` produces.
+    ``fanin_ptr``/``fanin_idx`` (``int32``) are the gate-fanin CSR in
+    topological indexing and ``levels`` (``int32``) the 0-based logic level
+    of every position, non-decreasing -- what ``Netlist._rebuild``'s
+    frontier sort produces.  Each level is therefore one contiguous range
+    of positions, and its fanin and fanout entries are contiguous slices of
+    the two CSR index arrays.
     """
-    n_gates = len(fanin_lists)
-    fanin_ptr, fanin_idx = _csr_from_lists(fanin_lists)
-    fanout_ptr, fanout_idx = _csr_from_lists(fanout_lists)
+    n_gates = levels.shape[0]
+    if n_gates and np.any(levels[1:] < levels[:-1]):
+        raise ValueError("compile_schedule needs levels sorted by position")
     counts = fanin_ptr[1:] - fanin_ptr[:-1]
     edge_owner = np.repeat(np.arange(n_gates, dtype=np.int32), counts)
+    # Fanouts are the fanin arcs sorted by source; a stable sort keeps each
+    # source's destinations ascending, repeated pins included.
+    fanout_idx = edge_owner[np.argsort(fanin_idx, kind="stable")]
+    fanout_ptr = np.zeros(n_gates + 1, dtype=np.int32)
+    np.cumsum(np.bincount(fanin_idx, minlength=n_gates), out=fanout_ptr[1:])
 
-    # Levelization.  Gates appear in topological order, so one forward pass
-    # suffices; the per-gate reduction is a cheap slice max.
-    levels = np.zeros(n_gates, dtype=np.int32)
-    for gate_pos, gate_fanins in enumerate(fanin_lists):
-        if gate_fanins:
-            deepest = levels[gate_fanins[0]]
-            for fanin_pos in gate_fanins[1:]:
-                if levels[fanin_pos] > deepest:
-                    deepest = levels[fanin_pos]
-            levels[gate_pos] = deepest + 1
-
-    n_levels = int(levels.max()) + 1 if n_gates else 0
+    n_levels = int(levels[-1]) + 1 if n_gates else 0
+    bounds = np.zeros(n_levels + 1, dtype=np.int64)
+    np.cumsum(np.bincount(levels, minlength=n_levels), out=bounds[1:])
+    positions = np.arange(n_gates, dtype=np.int32)
     level_gates: list[np.ndarray] = []
     level_edges: list[np.ndarray] = []
     level_seg: list[np.ndarray] = []
@@ -199,8 +201,8 @@ def compile_schedule(
     rev_level_gates: list[np.ndarray] = []
     rev_level_edges: list[np.ndarray] = []
     rev_level_seg: list[np.ndarray] = []
-    for level in range(n_levels):
-        gates = np.nonzero(levels == level)[0].astype(np.int32)
+    for level, (start, stop) in enumerate(zip(bounds[:-1].tolist(), bounds[1:].tolist())):
+        gates = positions[start:stop]
         level_gates.append(gates)
         if level == 0:
             level_edges.append(np.zeros(0, dtype=np.int32))
@@ -214,22 +216,20 @@ def compile_schedule(
                 )
             )
         else:
-            flat, _ = expand_csr_rows(fanin_ptr, fanin_idx, gates)
-            seg_counts = (fanin_ptr[gates + 1] - fanin_ptr[gates]).astype(np.int64)
-            seg = np.zeros(gates.shape[0], dtype=np.int64)
-            np.cumsum(seg_counts[:-1], out=seg[1:])
-            level_edges.append(flat)
-            level_seg.append(seg)
+            first_edge = fanin_ptr[start]
+            level_edges.append(fanin_idx[first_edge : fanin_ptr[stop]])
+            level_seg.append((fanin_ptr[start:stop] - first_edge).astype(np.int64))
             # Rank-major max plan: sort the level's gates by fanin count
             # (descending, stable) so every rank applies to a prefix, then
             # concatenate fanin indices pin-rank by pin-rank.
+            seg_counts = counts[start:stop]
             order = np.argsort(-seg_counts, kind="stable")
             plan_gates = gates[order].astype(np.intp)
             plan_counts = seg_counts[order]
             starts = fanin_ptr[plan_gates].astype(np.int64)
             columns = [fanin_idx[starts].astype(np.intp)]
             rank_counts: list[int] = []
-            for rank in range(1, int(plan_counts.max())):
+            for rank in range(1, int(plan_counts[0])):
                 k = int((plan_counts > rank).sum())
                 columns.append(fanin_idx[starts[:k] + rank].astype(np.intp))
                 rank_counts.append(k)
@@ -243,16 +243,13 @@ def compile_schedule(
             )
         # Backward structures: only gates with at least one fanout, so the
         # reduceat segments stay non-empty.
-        out_counts = (fanout_ptr[gates + 1] - fanout_ptr[gates]).astype(np.int64)
-        with_fanouts = gates[out_counts > 0]
-        flat_out, _ = expand_csr_rows(fanout_ptr, fanout_idx, with_fanouts)
-        out_counts = out_counts[out_counts > 0]
-        seg_out = np.zeros(with_fanouts.shape[0], dtype=np.int64)
-        if with_fanouts.shape[0]:
-            np.cumsum(out_counts[:-1], out=seg_out[1:])
-        rev_level_gates.append(with_fanouts)
-        rev_level_edges.append(flat_out)
-        rev_level_seg.append(seg_out)
+        out_starts = fanout_ptr[start : stop + 1]
+        has_fanouts = out_starts[1:] > out_starts[:-1]
+        rev_level_gates.append(gates[has_fanouts])
+        rev_level_edges.append(fanout_idx[out_starts[0] : out_starts[-1]])
+        rev_level_seg.append(
+            (out_starts[:-1][has_fanouts] - out_starts[0]).astype(np.int64)
+        )
 
     return TimingSchedule(
         version=version,

@@ -1,11 +1,14 @@
 """Naive reference timing kernels (retained seed implementations).
 
 These are the original gate-at-a-time Python-loop implementations of the
-STA/SSTA propagation kernels, kept verbatim so that:
+STA/SSTA propagation kernels and of the netlist structure path (the FIFO
+Kahn sort and the per-gate levelisation), kept verbatim so that:
 
 * the property-based test suite can assert the vectorized level-parallel
   kernels in :mod:`repro.timing.sta` and :mod:`repro.timing.ssta` match them
-  to tight tolerances on arbitrary DAGs, and
+  to tight tolerances on arbitrary DAGs, and that the netlist's
+  frontier-at-a-time sort reproduces the seed order and levels exactly,
+  and
 * the performance benchmark (``benchmarks/bench_perf_timing.py``) can report
   the speedup of the compiled-schedule kernels against a fixed baseline.
 
@@ -13,7 +16,9 @@ The module imports nothing from the fast path (:mod:`repro.timing.sta`,
 :mod:`repro.timing.ssta`, :mod:`repro.core.clark`): the SSTA reference
 carries its own seed copy of Clark's canonical-form max,
 :func:`canonical_max_reference`, so an oracle that compares the two shares
-no code with the path it checks.  They are not used on any production path.
+no code with the path it checks.  The structure references read only a
+netlist's public gate and fanin names, never its CSR columns or schedule.
+They are not used on any production path.
 """
 
 from __future__ import annotations
@@ -25,6 +30,64 @@ from repro.circuit.netlist import Netlist
 # The seed's degeneracy threshold: the variance of (A - B) below this
 # fraction of var(A) + var(B) makes the max the larger-mean form.
 _DEGENERATE_RATIO = 1e-12
+
+
+def topological_order_reference(netlist: Netlist) -> list[str]:
+    """Seed FIFO Kahn sort of :meth:`Netlist.topological_order`.
+
+    Reads only the public gate names and fanin names: the gates with no gate
+    fanins in name order, then first in, first out.
+    """
+    names = list(netlist.gates)
+    fanins_of = [gate.fanins for gate in netlist.gates.values()]
+    slot_of = {name: slot for slot, name in enumerate(names)}
+    in_degree = [0] * len(names)
+    dependents: dict[str, list[int]] = {}
+    for slot, fanins in enumerate(fanins_of):
+        gate_fanin_count = 0
+        for fanin in fanins:
+            if fanin in slot_of:
+                gate_fanin_count += 1
+                dependents.setdefault(fanin, []).append(slot)
+        in_degree[slot] = gate_fanin_count
+
+    order = sorted(
+        (slot for slot, degree in enumerate(in_degree) if degree == 0),
+        key=names.__getitem__,
+    )
+    position = 0
+    while position < len(order):
+        for successor in dependents.get(names[order[position]], ()):
+            in_degree[successor] -= 1
+            if in_degree[successor] == 0:
+                order.append(successor)
+        position += 1
+    if len(order) != len(names):
+        raise ValueError(f"netlist {netlist.name!r} contains a combinational cycle")
+    return [names[slot] for slot in order]
+
+
+def levels_reference(netlist: Netlist) -> np.ndarray:
+    """Seed per-gate levelisation of :meth:`Netlist.levels` (1-based).
+
+    One forward pass over :func:`topological_order_reference`: a gate sits
+    one level above its deepest gate fanin.
+    """
+    order = topological_order_reference(netlist)
+    position_of = {name: position for position, name in enumerate(order)}
+    fanin_lists = [
+        [position_of[f] for f in netlist.gate(name).fanins if f in position_of]
+        for name in order
+    ]
+    levels = np.zeros(len(order), dtype=np.int32)
+    for gate_pos, gate_fanins in enumerate(fanin_lists):
+        if gate_fanins:
+            deepest = levels[gate_fanins[0]]
+            for fanin_pos in gate_fanins[1:]:
+                if levels[fanin_pos] > deepest:
+                    deepest = levels[fanin_pos]
+            levels[gate_pos] = deepest + 1
+    return levels.astype(int) + 1
 
 
 def arrival_times_reference(netlist: Netlist, gate_delays: np.ndarray) -> np.ndarray:

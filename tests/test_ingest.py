@@ -1,16 +1,19 @@
 """Tests for external netlist ingestion (repro.circuit.ingest).
 
 Covers the parser/emitter round-trip contract (bit-identical schedules and
-arrival times), malformed-input error paths (typed, located errors), the
-cell-mapping policy, the Rent's-rule scale generator's distribution sanity
-and determinism, and the registered pipeline kinds end to end through the
-Study/Design APIs.
+arrival times), malformed-input error paths (typed, located errors) and
+fuzzed parser input, the cell-mapping policy, the Rent's-rule scale
+generator's distribution sanity, determinism and exact output, and the
+registered pipeline kinds end to end through the Study/Design APIs.
 """
 
+import hashlib
 import json
+import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.circuit.generators import random_logic_block
 from repro.circuit.ingest import (
@@ -467,3 +470,168 @@ def test_netlist_copy_preserves_file_order():
     assert np.array_equal(
         clone.load_capacitances(), netlist.load_capacitances()
     )
+
+
+# ----------------------------------------------------------------------
+# Exact scale-generator output
+# ----------------------------------------------------------------------
+#: SHA-256 of write_bench(scale_logic_block(...)), recorded from the
+#: gate-at-a-time generator this vectorised one replaced.
+SCALE_DIGESTS = [
+    ("scale", 400, 5, {}, "900e8ec26ee7510d66655fc5ec384bda32ce5cd681f10fd0364318b29598b97d"),
+    ("scale", 5000, 2, {}, "f76cd7ab64941f7ffcf5da7964912ac1b455590bea8ed8603915a6e5ff49fc6c"),
+    (
+        "knobs", 6000, 9,
+        {"depth": 13, "locality": 0.6, "hub_fraction": 0.9, "hub_bias": 0.4,
+         "rent_exponent": 0.5, "rent_coefficient": 3.5},
+        "eec508a21feddd204edd9b8bcf53b709aacd362c2146508f525b6bb1be170ce1",
+    ),
+]
+
+
+@pytest.mark.parametrize("name, n_gates, seed, knobs, digest", SCALE_DIGESTS)
+def test_scale_generator_exact_output(name, n_gates, seed, knobs, digest):
+    text = write_bench(scale_logic_block(name, n_gates, seed=seed, **knobs))
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
+# ----------------------------------------------------------------------
+# Parser fuzzing: parse, or raise a typed, located error
+# ----------------------------------------------------------------------
+_FUZZ = settings(max_examples=150, deadline=5000)
+_C17_LINES = (FIXTURE_DIR / "c17.bench").read_text().splitlines()
+_ADDER4 = json.loads((FIXTURE_DIR / "adder4_mapped.json").read_text())
+_NET = st.text("abcxyz0123456789_", min_size=1, max_size=6)
+
+
+def assert_parses_or_raises_located(parse, data):
+    try:
+        netlist = parse(data)
+    except ParseError:
+        return
+    except NetlistError as err:
+        assert err.gate is not None, err
+        if "never defined" in err.message:
+            assert err.net is not None, err
+        return
+    netlist.timing_schedule()
+
+
+@st.composite
+def mutated_bench(draw):
+    lines = list(_C17_LINES)
+    for _ in range(draw(st.integers(1, 4))):
+        index = draw(st.integers(0, len(lines) - 1))
+        kind = draw(st.sampled_from(
+            ["drop", "duplicate", "rename", "self", "later", "undefined", "cell",
+             "function", "pragma", "garbage"]
+        ))
+        match = re.match(r"^(\w+) = (\w+)\((.*)\)$", lines[index])
+        if kind == "drop":
+            del lines[index]
+        elif kind == "duplicate":
+            lines.insert(index, lines[index])
+        elif kind == "garbage":
+            lines[index] = draw(st.text(max_size=30))
+        elif match:
+            out, func, args = match.group(1), match.group(2), match.group(3).split(", ")
+            pin = draw(st.integers(0, len(args) - 1))
+            if kind == "rename":
+                out = draw(_NET)
+            elif kind == "self":
+                args[pin] = out
+            elif kind == "later":
+                later = [m.group(1) for m in map(re.compile(r"^(\w+) =").match, lines[index:]) if m]
+                args[pin] = draw(st.sampled_from(later))
+            elif kind == "undefined":
+                args[pin] = draw(_NET)
+            elif kind == "function":
+                func = draw(st.sampled_from(
+                    ["NOT", "BUF", "AND", "OR", "XOR", "NOR", "AOI21", "OAI21", "DFF"]
+                ))
+                args = draw(st.lists(st.sampled_from(args + ["1", "2"]), min_size=1, max_size=6))
+            elif kind == "cell":
+                func = draw(st.text("ABCDNORTX0123", min_size=1, max_size=6))
+            lines[index] = f"{out} = {func}({', '.join(args)})"
+            if kind == "pragma":
+                lines[index] += f"  # @size={draw(st.sampled_from(['0x1p+0', '-0x1p+0', '0x0p+0', 'zz', 'nan', '']))}"
+        if not lines:
+            break
+    return "\n".join(lines)
+
+
+@st.composite
+def mutated_yosys(draw):
+    document = json.loads(json.dumps(_ADDER4))
+    cells = document["modules"]["adder4"]["cells"]
+    for _ in range(draw(st.integers(1, 4))):
+        if not cells:
+            break
+        name = draw(st.sampled_from(sorted(cells)))
+        cell = cells[name]
+        inputs = [pin for pin, way in cell["port_directions"].items() if way == "input"]
+        output = next(pin for pin, way in cell["port_directions"].items() if way == "output")
+        kind = draw(st.sampled_from(["drop", "duplicate", "rename", "self", "undefined", "cell"]))
+        if kind == "drop":
+            del cells[name]
+        elif kind == "duplicate":
+            cells[name + "_dup"] = json.loads(json.dumps(cell))
+        elif kind == "rename":
+            cell["connections"][output] = [draw(st.integers(100, 120))]
+        elif kind == "self" and inputs:
+            cell["connections"][draw(st.sampled_from(inputs))] = cell["connections"][output]
+        elif kind == "undefined" and inputs:
+            cell["connections"][draw(st.sampled_from(inputs))] = [draw(st.integers(100, 120))]
+        elif kind == "cell":
+            cell["type"] = draw(st.text(max_size=12))
+    return document
+
+
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False) | st.text(max_size=8),
+    lambda children: st.lists(children, max_size=4)
+    | st.dictionaries(st.text(max_size=8), children, max_size=4),
+    max_leaves=20,
+)
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "INPUT(a)\nINPUT(b)\ny = NOT(a, b)\n",  # once looped forever
+        "INPUT(a)\ny = NOT(a)  # @size=zz\n",
+        "INPUT(a)\nINPUT(b)\nINPUT(c)\nINPUT(d)\ny = AOI21(a, b, c, d)\n",
+        "INPUT(a)\ny = NOT(y)\n",
+    ],
+)
+def test_malformed_bench_regressions(text):
+    assert_parses_or_raises_located(parse_bench, text)
+
+
+@given(mutated_bench())
+@_FUZZ
+def test_fuzz_mutated_bench(text):
+    assert_parses_or_raises_located(parse_bench, text)
+
+
+@given(st.text(max_size=200))
+@_FUZZ
+def test_fuzz_arbitrary_bench_text(text):
+    assert_parses_or_raises_located(parse_bench, text)
+
+
+@given(mutated_yosys())
+@_FUZZ
+def test_fuzz_mutated_yosys(document):
+    assert_parses_or_raises_located(parse_yosys_json, json.dumps(document))
+
+
+@given(st.one_of(
+    _JSON,
+    st.fixed_dictionaries({"modules": _JSON}),
+    st.fixed_dictionaries({"modules": st.fixed_dictionaries({"m": st.fixed_dictionaries(
+        {"ports": _JSON, "cells": _JSON, "netnames": _JSON})})}),
+))
+@_FUZZ
+def test_fuzz_arbitrary_yosys_json(document):
+    assert_parses_or_raises_located(parse_yosys_json, json.dumps(document))

@@ -2,8 +2,10 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from repro.circuit.netlist import Netlist
+from repro.circuit.netlist import Netlist, NetlistError
+from repro.timing.reference import levels_reference, topological_order_reference
 
 
 def build_diamond() -> Netlist:
@@ -89,6 +91,32 @@ class TestTopology:
 
     def test_logic_depth_of_diamond(self):
         assert build_diamond().logic_depth() == 2
+
+    def test_fanins_assignment_checks_pin_count(self):
+        netlist = build_diamond()
+        for fanins in (("top",), ("top", "bottom", "a")):
+            with pytest.raises(NetlistError) as err:
+                netlist.gate("out").fanins = fanins
+            assert (err.value.netlist, err.value.gate) == ("diamond", "out")
+            assert f"expects 2 fanins, got {len(fanins)}" in str(err.value)
+        assert netlist.gate("out").fanins == ("top", "bottom")
+        netlist.gate("out").fanins = ("a", "top")
+        index = netlist.gate_index()
+        assert netlist.gate("out").fanins == ("a", "top")
+        assert netlist.fanin_indices()[index["out"]] == [index["top"]]
+
+    def test_fanins_assignment_to_undefined_net_is_dangling(self):
+        netlist = build_diamond()
+        netlist.gate("top").fanins = ("later",)
+        with pytest.raises(NetlistError) as err:
+            netlist.validate()
+        assert (err.value.gate, err.value.net) == ("top", "later")
+        netlist.gate("top").fanins = ("a",)
+        netlist.validate()
+        netlist.gate("top").fanins = ("later",)
+        netlist.add_primary_input("later")
+        netlist.validate()
+        assert netlist.gate("top").fanins == ("later",)
 
     def test_levels(self):
         netlist = build_diamond()
@@ -366,3 +394,141 @@ class TestAccessorCaches:
         netlist.set_sizes(np.array([5.0, 5.0, 5.0]))
         netlist.gate("top").x = 0.0
         _assert_same(_snapshot(clone), clone_before)
+
+
+# ----------------------------------------------------------------------
+# The frontier sort against the seed FIFO Kahn sort
+# ----------------------------------------------------------------------
+_CELLS_BY_ARITY = {1: "INV", 2: "NAND2", 3: "NAND3", 4: "NAND4"}
+
+
+@st.composite
+def random_dags(draw) -> Netlist:
+    """A random DAG added in shuffled order with forward references.
+
+    Gate numbers are shuffled against the hidden topological order, so
+    ``g2``/``g10`` names interleave in string order; pins may repeat.
+    """
+    inputs = [f"i{k}" for k in range(draw(st.integers(1, 4)))]
+    n_gates = draw(st.integers(0, 40))
+    names = [f"g{k}" for k in draw(st.permutations(range(n_gates)))]
+    rows = []
+    for index, name in enumerate(names):
+        pool = inputs + names[:index]
+        arity = draw(st.integers(1, 4))
+        if draw(st.booleans()):
+            fanins = [draw(st.sampled_from(pool))] * arity
+        else:
+            fanins = draw(st.lists(st.sampled_from(pool), min_size=arity, max_size=arity))
+        rows.append((name, _CELLS_BY_ARITY[arity], fanins))
+    netlist = Netlist("dag")
+    for name in inputs:
+        netlist.add_primary_input(name)
+    for name, cell, fanins in draw(st.permutations(rows)):
+        netlist.add_gate(name, cell, fanins, allow_forward=True)
+    for name in draw(st.lists(st.sampled_from(names), unique=True)) if names else []:
+        netlist.mark_primary_output(name)
+    return netlist
+
+
+def assert_matches_seed_structure(netlist: Netlist) -> None:
+    assert netlist.topological_order() == topological_order_reference(netlist)
+    assert np.array_equal(netlist.levels(), levels_reference(netlist))
+
+
+class TestSeedStructure:
+    @given(random_dags())
+    @settings(max_examples=300, deadline=None)
+    def test_random_dags_match_reference(self, netlist):
+        assert_matches_seed_structure(netlist)
+
+    def test_degenerate_netlists_match_reference(self):
+        empty = Netlist("empty")
+        empty.add_primary_input("a")
+        single = Netlist("single")
+        single.add_primary_input("a")
+        single.add_gate("g", "NAND2", ["a", "a"])
+        chain = Netlist("chain")
+        chain.add_primary_input("a")
+        for k in reversed(range(12)):
+            chain.add_gate(f"g{k}", "INV", [f"g{k + 1}" if k < 11 else "a"], allow_forward=True)
+        for netlist in (empty, single, chain):
+            assert_matches_seed_structure(netlist)
+        assert chain.topological_order() == [f"g{k}" for k in reversed(range(12))]
+        assert empty.logic_depth() == 0 and chain.logic_depth() == 12
+
+    def test_corpus_stages_match_reference(self):
+        from repro.verify import builtin_corpus
+
+        specs = {scenario.pipeline: None for scenario in builtin_corpus()}
+        for spec in specs:
+            for stage in spec.build().stages:
+                assert_matches_seed_structure(stage.netlist)
+
+
+# ----------------------------------------------------------------------
+# Bulk append
+# ----------------------------------------------------------------------
+def _diamond_block(netlist: Netlist, **overrides) -> dict:
+    """add_gates arguments for the diamond's three gates."""
+    library = netlist.library
+    block = {
+        "names": ["top", "bottom", "out"],
+        "cells": [library.cell_id("INV"), library.cell_id("INV"), library.cell_id("NAND2")],
+        "fanin_ptr": [0, 1, 2, 4],
+        "fanins": [~0, ~0, 0, 1],
+    }
+    block.update(overrides)
+    return block
+
+
+def _bulk_diamond(**overrides) -> Netlist:
+    """The diamond's gates appended with one add_gates call."""
+    netlist = Netlist("diamond")
+    netlist.add_primary_input("a")
+    netlist.add_gates(**_diamond_block(netlist, **overrides))
+    return netlist
+
+
+class TestBulkAppend:
+    def test_matches_per_gate_construction(self):
+        bulk = _bulk_diamond()
+        bulk.mark_primary_output("out")
+        reference = build_diamond()
+        for name in reference.gates:
+            left, right = bulk.gate(name), reference.gate(name)
+            assert (left.cell, left.fanins, left.size, left.x, left.y) == (
+                right.cell, right.fanins, right.size, right.x, right.y)
+        assert bulk.topological_order() == reference.topological_order()
+        _assert_same(_snapshot(bulk), _snapshot(reference))
+
+    def test_values_and_later_gates(self):
+        netlist = _bulk_diamond(sizes=[1.0, 2.0, 3.0], x=0.25, y=np.array([0.1, 0.2, 0.3]))
+        assert netlist.gate("bottom").size == 2.0
+        assert (netlist.gate("out").x, netlist.gate("out").y) == (0.25, 0.3)
+        netlist.add_gate("late", "NOR2", ["out", "a"])
+        assert netlist.gate("late").fanins == ("out", "a")
+        assert netlist.logic_depth() == 3
+
+    @pytest.mark.parametrize(
+        "overrides, gate, message",
+        [
+            ({"names": ["top", "top", "out"]}, "top", "duplicate gate name"),
+            ({"names": ["top", "a", "out"]}, "a", "duplicate gate name"),
+            ({"cells": [0, 99, 2]}, "bottom", "not in library"),
+            ({"fanin_ptr": [0, 1, 3, 4], "fanins": [~0, ~0, ~0, 0]}, "bottom", "expects 1 fanins, got 2"),
+            ({"fanins": [~0, 2, 0, 1]}, "bottom", "fanin 'out' is not a known gate"),
+            ({"fanins": [~0, ~0, 0, 2]}, "out", "fanin 'out' is not a known gate"),
+            ({"fanins": [~3, ~0, 0, 1]}, "top", "is not a known gate or primary input"),
+            ({"sizes": [1.0, 1.0, 0.0]}, "out", "size must be positive"),
+        ],
+    )
+    def test_first_bad_gate_raises_located_error(self, overrides, gate, message):
+        netlist = Netlist("diamond")
+        netlist.add_primary_input("a")
+        with pytest.raises(NetlistError) as err:
+            netlist.add_gates(**_diamond_block(netlist, **overrides))
+        assert (err.value.netlist, err.value.gate) == ("diamond", gate)
+        assert message in str(err.value)
+        # Nothing of the rejected block was written.
+        assert netlist.n_gates == 0 and netlist.logic_depth() == 0

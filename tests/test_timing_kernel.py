@@ -334,11 +334,30 @@ class TestEdgeCases:
     def test_schedule_csr_matches_lists(self):
         block = random_block(40, seed=7)
         schedule = block.timing_schedule()
-        fanins = block.fanin_indices()
-        fanouts = block.fanout_indices()
+        # The adjacency from the gates' fanin names, as the seed built it.
+        index = block.gate_index()
+        fanins = [
+            [index[f] for f in block.gate(name).fanins if f in index]
+            for name in block.topological_order()
+        ]
+        fanouts: list[list[int]] = [[] for _ in fanins]
+        for gate_pos, gate_fanins in enumerate(fanins):
+            for fanin_pos in gate_fanins:
+                fanouts[fanin_pos].append(gate_pos)
+        assert block.fanin_indices() == fanins
+        assert block.fanout_indices() == fanouts
         for gate_pos in range(block.n_gates):
             assert list(schedule.fanins_of(gate_pos)) == fanins[gate_pos]
             assert list(schedule.fanouts_of(gate_pos)) == fanouts[gate_pos]
         levels = block.levels()
         assert np.array_equal(levels, schedule.levels + 1)
         assert block.logic_depth() == schedule.n_levels
+
+    def test_compile_schedule_needs_levels_in_position_order(self):
+        from repro.circuit.schedule import compile_schedule
+
+        no_fanins = (np.zeros(3, dtype=np.int32), np.zeros(0, dtype=np.int32))
+        with pytest.raises(ValueError):
+            compile_schedule(*no_fanins, np.array([1, 0], dtype=np.int32), 0)
+        schedule = compile_schedule(*no_fanins, np.array([0, 0], dtype=np.int32), 0)
+        assert schedule.n_levels == 1 and schedule.level_gates[0].tolist() == [0, 1]
