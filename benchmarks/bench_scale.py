@@ -14,7 +14,8 @@ Measures, for each point of the Rent's-rule scale generator
 Results go to ``benchmarks/results/perf_scale.json``.  A run covers 100k,
 300k and 1M gates.
 
-Run directly::
+Run directly (exits non-zero if the 1M point's peak RSS is over its
+budget)::
 
     PYTHONPATH=src python benchmarks/bench_scale.py
 
@@ -43,11 +44,18 @@ SEED = 2005
 #: starved CI runners pass while a 5x regression still fails loudly.  On
 #: a 2-vCPU container the point now measures generate ~0.11 s, compile
 #: ~0.07 s (it includes the first topological rebuild) and peak RSS
-#: ~150 MB; the 1M point measures generate ~1.2 s, compile ~0.9 s and
-#: peak RSS ~920 MB, most of it in the Monte-Carlo run.
+#: ~120 MB; the 1M point measures generate ~1.4 s, compile ~1.0 s and
+#: peak RSS ~645 MB, of which the built netlist and its schedule reach
+#: ~405 MB and the Monte-Carlo run, in place in two chunk buffers, the
+#: rest.
 BUDGET_100K_GENERATE_S = 15.0
 BUDGET_100K_COMPILE_S = 6.0
 BUDGET_100K_PEAK_RSS_MB = 2048.0
+
+#: Peak-RSS budget of the 1M point, checked when the script runs directly;
+#: it measured ~920 MB before the in-place Monte-Carlo pass and ~645 MB
+#: after.
+BUDGET_1M_PEAK_RSS_MB = 1024.0
 
 _POINT_SCRIPT = r"""
 import json, resource, sys, time
@@ -142,3 +150,10 @@ def test_scale_100k_within_budget():
 if __name__ == "__main__":
     result = run_benchmark()
     print(json.dumps(result, indent=2))
+    over = [
+        point
+        for point in result["points"]
+        if point["n_gates"] == 1_000_000 and point["peak_rss_mb"] > BUDGET_1M_PEAK_RSS_MB
+    ]
+    if over:
+        sys.exit(f"1M-gate point over its {BUDGET_1M_PEAK_RSS_MB:.0f} MB peak-RSS budget: {over}")

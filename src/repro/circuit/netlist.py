@@ -35,6 +35,7 @@ Design notes
 
 from __future__ import annotations
 
+import math
 from array import array
 from bisect import bisect_right
 from collections.abc import Iterable, Iterator, Mapping
@@ -93,6 +94,7 @@ class NetlistLookupError(NetlistError, KeyError):
 
 #: Rows of the per-gate float values in ``Netlist._columns()``.
 _SIZE, _X, _Y = 0, 1, 2
+_COLUMN_NAMES = ("size", "x", "y")
 
 
 def _value_column(column: int, doc: str) -> property:
@@ -318,8 +320,8 @@ class Netlist:
         fanins = tuple(fanins)
         self._check_pin_count(name, cell_id, len(fanins))
         refs, forward = self._references(name, fanins, allow_forward)
-        if size <= 0.0:
-            raise self._bad_size(name, size)
+        for column, value in enumerate((size, x, y)):
+            self._check_value(name, column, value)
         slot = len(self._names)
         first = len(self._fanins)
         for pin in forward:
@@ -376,7 +378,8 @@ class Netlist:
         known = (cells >= 0) & (cells < len(self.library))
         n_inputs = self.library.coefficient_table["n_inputs"][np.where(known, cells, 0)]
         owner = np.repeat(np.arange(first, first + count), counts)
-        bad = ~known | (counts != n_inputs) | (values[_SIZE] <= 0.0)
+        bad = ~known | (counts != n_inputs) | ~(values[_SIZE] > 0.0)
+        bad |= ~np.isfinite(values).all(axis=0)
         bad[owner[(fanins < -len(self._primary_inputs)) | (fanins >= owner)] - first] = True
         # Names go straight into the name index; a duplicate shows as a short
         # count, and a rejected block restores the index from the name column.
@@ -387,7 +390,7 @@ class Netlist:
             or any(name in self._slot for name in self._input_index)
         ):
             self._slot = dict(zip(self._names, range(first)))
-            self._raise_block_error(names, cells, fanin_ptr, fanins, values[_SIZE])
+            self._raise_block_error(names, cells, fanin_ptr, fanins, values)
         self._names.extend(names)
         self._cell_ids.frombytes(cells.tobytes())
         self._fanin_ptr.frombytes((fanin_ptr[1:] + len(self._fanins)).tobytes())
@@ -395,7 +398,7 @@ class Netlist:
         self._values = np.concatenate([self._columns(), values], axis=1)
         self._dirty = True
 
-    def _raise_block_error(self, names, cells, fanin_ptr, fanins, sizes) -> None:
+    def _raise_block_error(self, names, cells, fanin_ptr, fanins, values) -> None:
         """Raise :meth:`add_gate`'s error for the first bad gate of a block."""
         first = len(self._names)
         seen: set[str] = set()
@@ -416,8 +419,8 @@ class Netlist:
                 else:
                     net = f"<fanin reference {ref}>"
                 raise self._unknown_fanin(name, net)
-            if sizes[row] <= 0.0:
-                raise self._bad_size(name, float(sizes[row]))
+            for column in (_SIZE, _X, _Y):
+                self._check_value(name, column, float(values[column, row]))
         raise AssertionError("no bad gate in a block that failed validation")
 
     def _references(
@@ -481,9 +484,17 @@ class Netlist:
             net=net,
         )
 
-    def _bad_size(self, name: str, size: float) -> NetlistError:
-        return NetlistError(
-            f"gate {name!r}: size must be positive, got {size}",
+    def _check_value(self, name: str, column: int, value: float) -> None:
+        """Reject a size that is not positive and finite, or a non-finite x/y.
+
+        A NaN or infinite value would reach every Monte-Carlo sample; a
+        finite coordinate outside [0, 1] is legal and lands on the die edge.
+        """
+        if math.isfinite(value) and (column != _SIZE or value > 0.0):
+            return
+        rule = "positive and finite" if column == _SIZE else "finite"
+        raise NetlistError(
+            f"gate {name!r}: {_COLUMN_NAMES[column]} must be {rule}, got {value}",
             netlist=self.name,
             gate=name,
         )
@@ -561,6 +572,7 @@ class Netlist:
 
     def _write(self, column: int, slot: int, value: float) -> None:
         """Set one gate's size, x or y and invalidate the cached gathers."""
+        self._check_value(self._names[slot], column, value)
         self._columns()[column, slot] = value
         self._value_version += 1
 
@@ -801,8 +813,8 @@ class Netlist:
             raise ValueError(
                 f"expected {self.n_gates} sizes, got array of shape {sizes.shape}"
             )
-        if np.any(sizes <= 0.0):
-            raise ValueError("all gate sizes must be positive")
+        if not (np.all(sizes > 0.0) and np.isfinite(sizes).all()):
+            raise ValueError("all gate sizes must be positive and finite")
         self._columns()[_SIZE, self._perm] = sizes
         self._value_version += 1
 

@@ -16,6 +16,15 @@ For every Monte-Carlo sample (die realisation) the engine:
 6. records per-stage delay samples; the pipeline delay of each sample is the
    maximum over stages.
 
+Steps 1-4 are one in-place pass per chunk of samples.  A run allocates two
+``(chunk, n_devices)`` buffers once; the sampler draws each chunk's Vth and
+channel-length samples straight into them, and each stage's gate delays
+overwrite the Vth columns they came from (the register column is read
+unchanged).  So a run's per-device memory is those two buffers plus one
+arrival workspace per stage, whatever the sample count.  The samples are
+byte-identical to the seed's out-of-place path, which
+:func:`repro.timing.reference.monte_carlo_reference` keeps.
+
 Because the inter-die deviation and the systematic field are shared by all
 stages within one sample, stage delays come out correlated exactly the way
 the paper describes: perfectly correlated under inter-die-only variation,
@@ -139,21 +148,21 @@ class MonteCarloEngine:
         """Stage delay samples given this stage's device parameter samples.
 
         ``vth``/``length`` have one column per device: the stage's gates in
-        topological order followed by the register device.  ``nominal`` is
-        the stage's :meth:`_nominal_delays`.  ``workspace`` is an optional
-        ``(n_chunk_samples, n_gates)`` arrival buffer reused across sample
-        chunks.
+        topological order followed by the register device.  The gate delays
+        overwrite the gate columns of ``vth``; the register column is read
+        unchanged.  ``nominal`` is the stage's :meth:`_nominal_delays`.
+        ``workspace`` is an optional ``(n_chunk_samples, n_gates)`` arrival
+        buffer reused across sample chunks.
         """
         netlist = stage.netlist
         n_gates = netlist.n_gates
-        gate_vth = vth[:, :n_gates]
-        gate_length = length[:, :n_gates]
         register_vth = vth[:, n_gates]
         register_length = length[:, n_gates]
 
         if n_gates > 0:
+            gate_vth = vth[:, :n_gates]
             delays = self.delay_model.delay_samples(
-                netlist, gate_vth, gate_length, nominal=nominal
+                netlist, gate_vth, length[:, :n_gates], nominal=nominal, out=gate_vth
             )
             if workspace is not None:
                 workspace = workspace[: delays.shape[0]]
@@ -175,6 +184,9 @@ class MonteCarloEngine:
         nominal = self._nominal_delays(stage)
         delays = np.empty(self.n_samples)
         chunks = self._chunk_counts()
+        # The run's Vth and length buffers: every chunk is drawn into their
+        # leading rows, and its gate delays overwrite the Vth columns.
+        buffers = np.empty((2, chunks[0], sizes.shape[0]))
         workspace = (
             np.empty((chunks[0], stage.netlist.n_gates))
             if stage.netlist.n_gates > 0
@@ -182,7 +194,9 @@ class MonteCarloEngine:
         )
         offset = 0
         for count in chunks:
-            samples = self.sampler.sample(sizes, xs, ys, count, rng)
+            samples = self.sampler.sample(
+                sizes, xs, ys, count, rng, out=buffers[:, :count]
+            )
             delays[offset : offset + count] = self._stage_delay_from_samples(
                 stage, samples.vth, samples.length, nominal, workspace
             )
@@ -229,6 +243,7 @@ class MonteCarloEngine:
 
         stage_delays = np.zeros((self.n_samples, pipeline.n_stages))
         chunks = self._chunk_counts()
+        buffers = np.empty((2, chunks[0], sizes.shape[0]))
         workspaces = [
             np.empty((chunks[0], stage.netlist.n_gates))
             if stage.netlist.n_gates > 0
@@ -237,7 +252,9 @@ class MonteCarloEngine:
         ]
         sample_offset = 0
         for count in chunks:
-            samples = self.sampler.sample(sizes, xs, ys, count, rng)
+            samples = self.sampler.sample(
+                sizes, xs, ys, count, rng, out=buffers[:, :count]
+            )
             device_offset = 0
             for index, stage in enumerate(pipeline.stages):
                 n_devices = per_stage_device_counts[index]

@@ -15,6 +15,11 @@ This module implements the standard grid-based model:
   ``rho(d) = exp(-d / correlation_length)`` in normalised die coordinates,
 * a gate picks up the deviation of the cell containing its placement point.
 
+Reading cell values at devices goes through one helper, :func:`read_cells`,
+which writes ``values[:, cells]`` in C order.  NumPy lays the fancy-index
+form out in Fortran order, so every later ``(n_samples, n_devices)`` add or
+multiply against a C-ordered array would walk one side a whole row apart.
+
 Correlated cell samples are generated with a Cholesky factor of the cell
 covariance matrix, which is exact and cheap for the modest grid sizes used
 here (the default is 8 x 8 = 64 cells).
@@ -52,6 +57,23 @@ def _cholesky_factor(grid_size: int, correlation_length: float) -> np.ndarray:
     factor = np.linalg.cholesky(corr + jitter)
     factor.flags.writeable = False
     return factor
+
+
+def read_cells(
+    cell_values: np.ndarray, cells: np.ndarray, out: np.ndarray | None = None
+) -> np.ndarray:
+    """``cell_values[:, cells]`` written in C order, into ``out`` when given.
+
+    ``cell_values`` has one row per sample and one column per grid cell;
+    ``cells`` holds flat cell indices from
+    :meth:`SpatialCorrelationModel.cell_index`.  The indices are not
+    bounds-checked (``mode="clip"``, which also lets ``take`` write straight
+    into ``out`` instead of buffering it), so callers pass valid ones:
+    ``cell_index`` of finite coordinates always is.
+    """
+    if out is None:
+        out = np.empty((cell_values.shape[0],) + cells.shape)
+    return np.take(cell_values, cells, axis=1, out=out, mode="clip")
 
 
 class SpatialCorrelationModel:
@@ -134,16 +156,18 @@ class SpatialCorrelationModel:
         Returns
         -------
         numpy.ndarray
-            Array of shape ``(n_samples, n_devices)`` of standard-normal
-            deviations, spatially correlated according to the grid model.
+            C-ordered array of shape ``(n_samples, n_devices)`` of
+            standard-normal deviations, spatially correlated according to
+            the grid model.
         """
         x = np.asarray(x, dtype=float)
         y = np.asarray(y, dtype=float)
         if x.shape != y.shape:
             raise ValueError(f"x and y must have the same shape, got {x.shape} and {y.shape}")
+        if not (np.isfinite(x).all() and np.isfinite(y).all()):
+            raise ValueError("x and y must be finite")
         cells = self.cell_index(x, y)
-        cell_samples = self.sample_cells(n_samples, rng)
-        return cell_samples[:, cells]
+        return read_cells(self.sample_cells(n_samples, rng), cells)
 
     def correlation_between(self, point_a: tuple[float, float], point_b: tuple[float, float]) -> float:
         """Model correlation between the deviations at two placement points.

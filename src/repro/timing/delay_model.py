@@ -19,6 +19,15 @@ nominal is the nominal delay multiplied by
 The same factor gives the first-order sensitivities used by the statistical
 timer: ``d(d)/d(vth) = d_nom * alpha / (vdd - vth0)`` and
 ``d(d)/d(L/L0) = d_nom`` at the nominal point.
+
+:meth:`GateDelayModel.delay_samples` and :meth:`GateDelayModel.drive_factors`
+take an optional ``out`` buffer (which may be the Vth samples themselves)
+and compute the overdrive, its ratio, the power, the length factor and the
+nominal scale in it, one step at a time.  Each step is the seed's operation
+on the same operands (a product's operands at most swapped), so the delays
+are the same bits as the seed's out-of-place expression.  The power is
+always taken by ``np.power`` on an array: Python's scalar ``**`` rounds
+differently on some inputs.
 """
 
 from __future__ import annotations
@@ -68,23 +77,39 @@ class GateDelayModel:
     # Monte-Carlo samples
     # ------------------------------------------------------------------
     def drive_factors(
-        self, vth_samples: np.ndarray, length_samples: np.ndarray | None = None
+        self,
+        vth_samples: np.ndarray,
+        length_samples: np.ndarray | None = None,
+        out: np.ndarray | None = None,
     ) -> np.ndarray:
         """Delay multipliers for sampled Vth (and optionally channel length).
 
-        Accepts arrays of any matching shape and broadcasts.
+        Accepts arrays of any matching shape and broadcasts.  ``out`` is an
+        optional destination of the broadcast shape; it may be
+        ``vth_samples`` itself, whose values are then replaced by the
+        factors.  The factors are the same with or without it.
         """
         tech = self.technology
         vth_samples = np.asarray(vth_samples, dtype=float)
-        overdrive = tech.vdd - vth_samples
-        if np.any(overdrive <= 0.0):
+        if length_samples is not None:
+            length_samples = np.asarray(length_samples, dtype=float)
+        if out is None:
+            shape = vth_samples.shape
+            if length_samples is not None:
+                shape = np.broadcast_shapes(shape, length_samples.shape)
+            out = np.empty(shape)
+        # Each step is the seed's operation on the same operands, written
+        # into ``out``: overdrive, ratio, power, then the length factor.
+        factor = np.subtract(tech.vdd, vth_samples, out=out)
+        if np.any(factor <= 0.0):
             raise ValueError(
                 "sampled threshold voltage reaches the supply; clamp samples "
                 "before computing delays"
             )
-        factor = (tech.gate_overdrive / overdrive) ** tech.alpha
+        np.divide(tech.gate_overdrive, factor, out=factor)
+        np.power(factor, tech.alpha, out=factor)
         if length_samples is not None:
-            factor = factor * (np.asarray(length_samples, dtype=float) / tech.lmin)
+            factor *= length_samples / tech.lmin
         return factor
 
     def delay_samples(
@@ -94,6 +119,7 @@ class GateDelayModel:
         length_samples: np.ndarray | None = None,
         sizes: np.ndarray | None = None,
         nominal: np.ndarray | None = None,
+        out: np.ndarray | None = None,
     ) -> np.ndarray:
         """Per-sample, per-gate delays in seconds.
 
@@ -113,11 +139,16 @@ class GateDelayModel:
             caller already has them (a Monte-Carlo run computes them once
             and reuses them for every sample chunk); ``sizes`` is then
             ignored.
+        out:
+            Optional ``(n_samples, n_gates)`` destination; it may be
+            ``vth_samples`` itself (the Monte-Carlo engine overwrites each
+            chunk's Vth columns with the delays they give).  The delays are
+            the same with or without it.
 
         Returns
         -------
         numpy.ndarray
-            Delays of shape ``(n_samples, n_gates)``.
+            Delays of shape ``(n_samples, n_gates)`` (``out`` when given).
         """
         if nominal is None:
             nominal = self.nominal_delays(netlist, sizes)
@@ -127,8 +158,9 @@ class GateDelayModel:
                 "vth_samples must have shape (n_samples, n_gates="
                 f"{nominal.shape[0]}), got {vth_samples.shape}"
             )
-        factors = self.drive_factors(vth_samples, length_samples)
-        return nominal[None, :] * factors
+        factors = self.drive_factors(vth_samples, length_samples, out=out)
+        factors *= nominal
+        return factors
 
     # ------------------------------------------------------------------
     # First-order sensitivities (for SSTA)

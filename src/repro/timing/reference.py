@@ -1,24 +1,30 @@
 """Naive reference timing kernels (retained seed implementations).
 
 These are the original gate-at-a-time Python-loop implementations of the
-STA/SSTA propagation kernels and of the netlist structure path (the FIFO
-Kahn sort and the per-gate levelisation), kept verbatim so that:
+STA/SSTA propagation kernels, of the netlist structure path (the FIFO
+Kahn sort and the per-gate levelisation) and of the Monte-Carlo path from
+sampled parameters to stage delays (the out-of-place sampler, delay model
+and register overhead), kept verbatim so that:
 
 * the property-based test suite can assert the vectorized level-parallel
   kernels in :mod:`repro.timing.sta` and :mod:`repro.timing.ssta` match them
-  to tight tolerances on arbitrary DAGs, and that the netlist's
-  frontier-at-a-time sort reproduces the seed order and levels exactly,
-  and
+  to tight tolerances on arbitrary DAGs, that the netlist's
+  frontier-at-a-time sort reproduces the seed order and levels exactly, and
+  that the Monte-Carlo engine's in-place chunk pass reproduces the seed
+  samples byte for byte, and
 * the performance benchmark (``benchmarks/bench_perf_timing.py``) can report
   the speedup of the compiled-schedule kernels against a fixed baseline.
 
 The module imports nothing from the fast path (:mod:`repro.timing.sta`,
-:mod:`repro.timing.ssta`, :mod:`repro.core.clark`): the SSTA reference
-carries its own seed copy of Clark's canonical-form max,
-:func:`canonical_max_reference`, so an oracle that compares the two shares
-no code with the path it checks.  The structure references read only a
-netlist's public gate and fanin names, never its CSR columns or schedule.
-They are not used on any production path.
+:mod:`repro.timing.ssta`, :mod:`repro.core.clark`,
+:mod:`repro.process.sampling`, :mod:`repro.timing.delay_model`,
+:mod:`repro.montecarlo`): the SSTA reference carries its own seed copy of
+Clark's canonical-form max, :func:`canonical_max_reference`, and
+:func:`monte_carlo_reference` its own sampler, delay model and cell read,
+so an oracle that compares the two shares no code with the path it checks.
+The structure references read only a netlist's public gate and fanin
+names, never its CSR columns or schedule.  They are not used on any
+production path.
 """
 
 from __future__ import annotations
@@ -26,6 +32,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.circuit.netlist import Netlist
+from repro.process.spatial import SpatialCorrelationModel
 
 # The seed's degeneracy threshold: the variance of (A - B) below this
 # fraction of var(A) + var(B) makes the max the larger-mean form.
@@ -233,3 +240,165 @@ def correlation_matrix_reference(forms: list) -> np.ndarray:
             matrix[i, j] = rho
             matrix[j, i] = rho
     return matrix
+
+
+def sample_parameters_reference(
+    technology,
+    variation,
+    spatial: SpatialCorrelationModel,
+    sizes: np.ndarray,
+    x: np.ndarray,
+    y: np.ndarray,
+    n_samples: int,
+    rng: np.random.Generator,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Seed ``ParameterSampler.sample``: ``(vth, length, inter_die_vth_shift)``.
+
+    Out of place, with the seed's ``cell_samples[:, cells]`` read.
+    """
+    sizes = np.asarray(sizes, dtype=float)
+    tech = technology
+    var = variation
+    n_devices = sizes.shape[0]
+
+    inter_vth = var.sigma_vth_inter * rng.standard_normal(n_samples)
+    inter_l = var.sigma_l_inter * rng.standard_normal(n_samples)
+
+    if var.has_intra_random:
+        random_vth = (
+            var.sigma_vth_random
+            / np.sqrt(sizes)[None, :]
+            * rng.standard_normal((n_samples, n_devices))
+        )
+    else:
+        random_vth = np.zeros((n_samples, n_devices))
+
+    if var.has_intra_systematic:
+        cells = spatial.cell_index(np.asarray(x, dtype=float), np.asarray(y, dtype=float))
+        cell_samples = spatial.sample_cells(n_samples, rng)
+        field = cell_samples[:, cells]
+        systematic_vth = var.sigma_vth_systematic * field
+        systematic_l = var.sigma_l_systematic * field
+    else:
+        systematic_vth = np.zeros((n_samples, n_devices))
+        systematic_l = np.zeros((n_samples, n_devices))
+
+    vth = tech.vth0 + inter_vth[:, None] + random_vth + systematic_vth
+    vth = np.clip(vth, 0.0, tech.vdd - 0.05)
+
+    length = tech.lmin * (1.0 + inter_l[:, None] + systematic_l)
+    length = np.clip(length, 0.25 * tech.lmin, 4.0 * tech.lmin)
+    return vth, length, inter_vth
+
+
+def nominal_delays_reference(technology, netlist: Netlist) -> np.ndarray:
+    """Seed ``GateDelayModel.nominal_delays`` at the netlist's sizes."""
+    tech = technology
+    sizes = netlist.sizes()
+    coeffs = netlist.cell_coefficients()
+    loads = netlist.load_capacitances(sizes)
+    drive_resistance = tech.r_unit / sizes
+    parasitic_cap = coeffs["parasitic_delay"] * tech.c_par_unit * sizes
+    return drive_resistance * (parasitic_cap + loads)
+
+
+def delay_samples_reference(
+    technology,
+    nominal: np.ndarray,
+    vth_samples: np.ndarray,
+    length_samples: np.ndarray | None = None,
+) -> np.ndarray:
+    """Seed ``GateDelayModel.delay_samples`` (with its ``drive_factors``)."""
+    tech = technology
+    vth_samples = np.asarray(vth_samples, dtype=float)
+    overdrive = tech.vdd - vth_samples
+    if np.any(overdrive <= 0.0):
+        raise ValueError(
+            "sampled threshold voltage reaches the supply; clamp samples "
+            "before computing delays"
+        )
+    factor = (tech.gate_overdrive / overdrive) ** tech.alpha
+    if length_samples is not None:
+        factor = factor * (np.asarray(length_samples, dtype=float) / tech.lmin)
+    return nominal[None, :] * factor
+
+
+def overhead_samples_reference(
+    flipflop, technology, vth_samples: np.ndarray, length_samples: np.ndarray | None = None
+) -> np.ndarray:
+    """Seed ``FlipFlopTiming.overhead_samples``."""
+    vth_samples = np.asarray(vth_samples, dtype=float)
+    if length_samples is None:
+        length_ratio = 1.0
+    else:
+        length_ratio = np.asarray(length_samples, dtype=float) / technology.lmin
+    overdrive_ratio = technology.gate_overdrive / (technology.vdd - vth_samples)
+    drive_factor = overdrive_ratio**technology.alpha * length_ratio
+    return flipflop.nominal_overhead(technology) * drive_factor
+
+
+def monte_carlo_reference(
+    stages,
+    variation,
+    technology,
+    n_samples: int,
+    seed,
+    grid_size: int = 8,
+    chunk_size: int | None = None,
+) -> np.ndarray:
+    """Seed Monte-Carlo stage delays, ``(n_samples, n_stages)``.
+
+    The loop of ``MonteCarloEngine.run_pipeline`` (and, for one stage, of
+    ``run_stage``) over the seed sampler, delay model, register overhead
+    and :func:`arrival_times_reference`, drawing from
+    ``numpy.random.default_rng(seed)`` in the engine's chunk order.
+    """
+    rng = np.random.default_rng(seed)
+    spatial = SpatialCorrelationModel(grid_size, variation.correlation_length)
+    sizes, xs, ys = [], [], []
+    for stage in stages:
+        stage_x, stage_y = stage.netlist.positions()
+        reg_x, reg_y = stage.register_position
+        sizes.append(np.concatenate([stage.netlist.sizes(), [stage.flipflop.size]]))
+        xs.append(np.concatenate([stage_x, [reg_x]]))
+        ys.append(np.concatenate([stage_y, [reg_y]]))
+    sizes, xs, ys = np.concatenate(sizes), np.concatenate(xs), np.concatenate(ys)
+    if chunk_size is None or chunk_size >= n_samples:
+        chunks = [n_samples]
+    else:
+        full, rest = divmod(n_samples, chunk_size)
+        chunks = [chunk_size] * full + ([rest] if rest else [])
+
+    stage_delays = np.zeros((n_samples, len(stages)))
+    sample_offset = 0
+    for count in chunks:
+        vth, length, _ = sample_parameters_reference(
+            technology, variation, spatial, sizes, xs, ys, count, rng
+        )
+        device_offset = 0
+        for index, stage in enumerate(stages):
+            netlist = stage.netlist
+            n_gates = netlist.n_gates
+            gate_cols = slice(device_offset, device_offset + n_gates)
+            register_col = device_offset + n_gates
+            if n_gates > 0:
+                delays = delay_samples_reference(
+                    technology,
+                    nominal_delays_reference(technology, netlist),
+                    vth[:, gate_cols],
+                    length[:, gate_cols],
+                )
+                arrivals = arrival_times_reference(netlist, delays)
+                mask = netlist.output_mask()
+                if not mask.any():
+                    mask = np.ones(n_gates, dtype=bool)
+                comb = arrivals[:, mask].max(axis=1)
+            else:
+                comb = np.zeros(count)
+            overhead = overhead_samples_reference(
+                stage.flipflop, technology, vth[:, register_col], length[:, register_col]
+            )
+            stage_delays[sample_offset : sample_offset + count, index] = comb + overhead
+            device_offset += n_gates + 1
+        sample_offset += count
+    return stage_delays

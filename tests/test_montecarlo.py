@@ -2,14 +2,18 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.circuit.flipflop import FlipFlopTiming
 from repro.circuit.generators import inverter_chain
+from repro.circuit.netlist import Netlist
 from repro.montecarlo.engine import MonteCarloEngine
 from repro.montecarlo.results import MonteCarloResult, PipelineMonteCarloResult
 from repro.pipeline.builder import inverter_chain_pipeline
+from repro.pipeline.pipeline import Pipeline
 from repro.pipeline.stage import PipelineStage
 from repro.process.variation import VariationModel
+from repro.timing.reference import monte_carlo_reference
 
 
 class TestMonteCarloResult:
@@ -239,8 +243,8 @@ class TestNominalDelaysPerRun:
 
         original = GateDelayModel.delay_samples
 
-        def per_chunk(self, netlist, vth, length=None, sizes=None, nominal=None):
-            return original(self, netlist, vth, length, sizes)
+        def per_chunk(self, netlist, vth, length=None, sizes=None, nominal=None, out=None):
+            return original(self, netlist, vth, length, sizes, out=out)
 
         monkeypatch.setattr(GateDelayModel, "delay_samples", per_chunk)
 
@@ -278,3 +282,107 @@ class TestNominalDelaysPerRun:
         per_chunk_stage = engine().run_stage(stage).samples
         assert np.array_equal(hoisted, per_chunk)
         assert np.array_equal(hoisted_stage, per_chunk_stage)
+
+
+# ----------------------------------------------------------------------
+# Byte identity with the seed sampler -> delay path
+# ----------------------------------------------------------------------
+#: Every branch of the sampler: both intra-die parts, one at a time, none.
+SEED_VARIATIONS = {
+    "combined": VariationModel.combined(),
+    "inter_only": VariationModel.inter_only(),
+    "intra_random_only": VariationModel.intra_random_only(),
+    "systematic_only": VariationModel(
+        sigma_vth_inter=0.0,
+        sigma_vth_random=0.0,
+        sigma_vth_systematic=0.03,
+        sigma_l_inter=0.0,
+        sigma_l_systematic=0.02,
+        correlation_length=0.3,
+    ),
+    "zero_sigma": VariationModel(
+        sigma_vth_inter=0.0,
+        sigma_vth_random=0.0,
+        sigma_vth_systematic=0.0,
+        sigma_l_inter=0.0,
+        sigma_l_systematic=0.0,
+    ),
+}
+
+#: Exact edges of the default 8 x 8 grid's cells, points just off the die
+#: and anywhere in a band around it.
+COORDINATES = st.one_of(
+    st.sampled_from([k / 8 for k in range(9)] + [-0.5, -1e-9, 1.0 + 1e-9, 1.75]),
+    st.floats(-0.5, 1.5, allow_nan=False, allow_infinity=False),
+)
+
+
+@st.composite
+def seeded_pipelines(draw) -> Pipeline:
+    """1-3 stages of 0-99 random INV/NAND2/NOR2 gates, drawn sizes and positions."""
+    structure = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    stages = []
+    for index in range(draw(st.integers(1, 3))):
+        netlist = Netlist(f"s{index}")
+        nets = [f"in{k}" for k in range(1 + index)]
+        for name in nets:
+            netlist.add_primary_input(name)
+        for gate in range(draw(st.integers(0, 99))):
+            cell = ("INV", "NAND2", "NOR2")[structure.integers(3)]
+            picks = structure.integers(len(nets), size=1 if cell == "INV" else 2)
+            netlist.add_gate(
+                f"g{gate}", cell, [nets[k] for k in picks], size=draw(st.floats(0.25, 16.0))
+            )
+            nets.append(f"g{gate}")
+        if netlist.n_gates and structure.random() < 0.7:
+            netlist.mark_primary_output(nets[-1])
+        stages.append(PipelineStage(f"s{index}", netlist))
+    pipeline = Pipeline("p", stages)
+    # Placement after the pipeline's floorplan, which re-places every gate.
+    for stage in stages:
+        for gate in stage.netlist.gates.values():
+            gate.x, gate.y = draw(COORDINATES), draw(COORDINATES)
+    return pipeline
+
+
+class TestSeedReference:
+    """The in-place chunk pass gives the seed path's samples, byte for byte."""
+
+    @given(
+        pipeline=seeded_pipelines(),
+        variation=st.sampled_from(sorted(SEED_VARIATIONS)),
+        chunk_size=st.sampled_from([None, 1, 7, 16]),
+        n_samples=st.integers(2, 24),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_engine_matches_seed_loop(self, pipeline, variation, chunk_size, n_samples, seed):
+        model = SEED_VARIATIONS[variation]
+        engine = MonteCarloEngine(model, n_samples=n_samples, seed=seed, chunk_size=chunk_size)
+
+        def reference(stages):
+            return monte_carlo_reference(
+                stages, model, engine.technology, n_samples, seed, chunk_size=chunk_size
+            )
+
+        samples = engine.run_pipeline(pipeline).stage_samples
+        assert samples.tobytes() == reference(pipeline.stages).tobytes()
+        for stage in pipeline.stages:
+            expected = reference([stage])[:, 0]
+            assert engine.run_stage(stage).samples.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("variation", sorted(SEED_VARIATIONS))
+    def test_gate_free_stage_and_scale_block(self, variation):
+        from repro.circuit.ingest import scale_logic_block
+
+        model = SEED_VARIATIONS[variation]
+        stages = [
+            PipelineStage("empty", Netlist("empty")),
+            PipelineStage("block", scale_logic_block("block", 3000, seed=3)),
+        ]
+        pipeline = Pipeline("p", stages)
+        engine = MonteCarloEngine(model, n_samples=20, seed=9, chunk_size=7)
+        expected = monte_carlo_reference(
+            pipeline.stages, model, engine.technology, 20, 9, chunk_size=7
+        )
+        assert engine.run_pipeline(pipeline).stage_samples.tobytes() == expected.tobytes()

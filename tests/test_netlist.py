@@ -58,6 +58,30 @@ class TestConstruction:
         with pytest.raises(ValueError):
             netlist.add_gate("g", "INV", ["a"], size=0.0)
 
+    @pytest.mark.parametrize(
+        "values, message",
+        [
+            ({"size": float("nan")}, "size must be positive and finite"),
+            ({"size": float("inf")}, "size must be positive and finite"),
+            ({"x": float("nan")}, "x must be finite"),
+            ({"y": float("-inf")}, "y must be finite"),
+        ],
+    )
+    def test_non_finite_values_rejected(self, values, message):
+        netlist = Netlist("n")
+        netlist.add_primary_input("a")
+        with pytest.raises(NetlistError) as err:
+            netlist.add_gate("g", "INV", ["a"], **values)
+        assert (err.value.netlist, err.value.gate) == ("n", "g")
+        assert message in str(err.value)
+        assert netlist.n_gates == 0
+
+    def test_coordinates_off_the_die_accepted(self):
+        netlist = Netlist("n")
+        netlist.add_primary_input("a")
+        gate = netlist.add_gate("g", "INV", ["a"], x=1.5, y=-0.25)
+        assert (gate.x, gate.y) == (1.5, -0.25)
+
     def test_mark_unknown_output_rejected(self):
         netlist = build_diamond()
         with pytest.raises(KeyError):
@@ -139,6 +163,14 @@ class TestSizesAndLoads:
             netlist.set_sizes(np.array([1.0, 2.0]))
         with pytest.raises(ValueError):
             netlist.set_sizes(np.array([1.0, -2.0, 1.0]))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_set_sizes_rejects_non_finite(self, bad):
+        netlist = build_diamond()
+        before = netlist.sizes()
+        with pytest.raises(ValueError):
+            netlist.set_sizes(np.array([1.0, bad, 1.0]))
+        assert np.array_equal(netlist.sizes(), before)
 
     def test_loads_include_fanout_input_caps(self):
         netlist = build_diamond()
@@ -304,6 +336,25 @@ class TestGateViews:
         assert (gate.size, gate.x, gate.y) == (2.5, 0.125, 0.75)
         assert list(netlist.gates) == ["top", "bottom", "out", "late"]
         assert [g.cell for g in netlist.gates.values()] == ["INV", "INV", "NAND2", "NOR2"]
+
+    @pytest.mark.parametrize(
+        "attr, value, message",
+        [
+            ("size", -1.0, "size must be positive and finite"),
+            ("size", 0.0, "size must be positive and finite"),
+            ("size", float("nan"), "size must be positive and finite"),
+            ("x", float("nan"), "x must be finite"),
+            ("y", float("inf"), "y must be finite"),
+        ],
+    )
+    def test_value_setters_reject_bad_values(self, attr, value, message):
+        netlist = build_diamond()
+        before = _snapshot(netlist)
+        with pytest.raises(NetlistError) as err:
+            setattr(netlist.gate("top"), attr, value)
+        assert (err.value.netlist, err.value.gate) == ("diamond", "top")
+        assert message in str(err.value)
+        _assert_same(_snapshot(netlist), before)
 
     def test_gates_mapping_is_read_only(self):
         netlist = build_diamond()
@@ -521,6 +572,10 @@ class TestBulkAppend:
             ({"fanins": [~0, ~0, 0, 2]}, "out", "fanin 'out' is not a known gate"),
             ({"fanins": [~3, ~0, 0, 1]}, "top", "is not a known gate or primary input"),
             ({"sizes": [1.0, 1.0, 0.0]}, "out", "size must be positive"),
+            ({"sizes": [1.0, np.nan, 1.0]}, "bottom", "size must be positive and finite"),
+            ({"sizes": [1.0, 1.0, np.inf]}, "out", "size must be positive and finite"),
+            ({"x": [0.5, np.nan, 0.5]}, "bottom", "x must be finite"),
+            ({"y": [0.5, 0.5, -np.inf]}, "out", "y must be finite"),
         ],
     )
     def test_first_bad_gate_raises_located_error(self, overrides, gate, message):

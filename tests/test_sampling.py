@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.process.sampling import ParameterSampler
+from repro.process.spatial import SpatialCorrelationModel
 from repro.process.technology import default_technology
 from repro.process.variation import VariationModel
 
@@ -97,3 +98,72 @@ class TestSampling:
             sampler.sample(sizes, x[:-1], y, 10, rng)
         with pytest.raises(ValueError):
             sampler.sample(sizes, x, y, 0, rng)
+
+    @pytest.mark.parametrize("column", ["sizes", "x", "y"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite_devices(self, technology, rng, sampler_inputs, column, bad):
+        inputs = dict(zip(["sizes", "x", "y"], (a.copy() for a in sampler_inputs)))
+        inputs[column][3] = bad
+        sampler = ParameterSampler(technology, VariationModel.combined())
+        with pytest.raises(ValueError):
+            sampler.sample(inputs["sizes"], inputs["x"], inputs["y"], 10, rng)
+
+    def test_coordinates_off_the_die_are_legal(self, technology, rng, sampler_inputs):
+        sizes, _, _ = sampler_inputs
+        sampler = ParameterSampler(technology, VariationModel.combined())
+        x = np.linspace(-0.5, 1.5, sizes.shape[0])
+        samples = sampler.sample(sizes, x, -x, 10, rng)
+        assert np.isfinite(samples.vth).all() and np.isfinite(samples.length).all()
+
+
+VARIATIONS = {
+    "combined": VariationModel.combined(),
+    "inter_only": VariationModel.inter_only(),
+    "intra_random_only": VariationModel.intra_random_only(),
+    "systematic_only": VariationModel(
+        sigma_vth_inter=0.0, sigma_vth_random=0.0, sigma_vth_systematic=0.03,
+        sigma_l_inter=0.0, sigma_l_systematic=0.02,
+    ),
+}
+
+
+class TestOutBuffers:
+    @pytest.mark.parametrize("variation", sorted(VARIATIONS))
+    def test_out_gives_the_same_samples(self, technology, sampler_inputs, variation):
+        sizes, x, y = sampler_inputs
+        sampler = ParameterSampler(technology, VARIATIONS[variation])
+        fresh = sampler.sample(sizes, x, y, 9, np.random.default_rng(5))
+        buffers = np.full((2, 12, sizes.shape[0]), np.nan)
+        into = sampler.sample(sizes, x, y, 9, np.random.default_rng(5), out=buffers[:, :9])
+        for name in ("vth", "length", "inter_die_vth_shift"):
+            assert getattr(into, name).tobytes() == getattr(fresh, name).tobytes(), name
+        # The samples alias the buffers; rows past the chunk stay untouched.
+        assert np.shares_memory(into.vth, buffers[0]) and np.shares_memory(into.length, buffers[1])
+        assert np.isnan(buffers[:, 9:]).all()
+
+    def test_out_shape_checked(self, technology, rng, sampler_inputs):
+        sizes, x, y = sampler_inputs
+        sampler = ParameterSampler(technology, VariationModel.combined())
+        with pytest.raises(ValueError):
+            sampler.sample(sizes, x, y, 9, rng, out=np.empty((2, 8, sizes.shape[0])))
+
+    def test_samples_are_c_ordered(self, technology, rng, sampler_inputs):
+        sizes, x, y = sampler_inputs
+        samples = ParameterSampler(technology, VariationModel.combined()).sample(
+            sizes, x, y, 9, rng
+        )
+        assert samples.vth.flags.c_contiguous and samples.length.flags.c_contiguous
+
+    def test_sample_at_is_c_ordered(self, rng):
+        model = SpatialCorrelationModel(grid_size=8)
+        x = np.linspace(0.0, 1.0, 50)
+        field = model.sample_at(x, x[::-1], 16, rng)
+        assert field.shape == (16, 50)
+        assert field.flags.c_contiguous
+
+    def test_sample_at_rejects_non_finite_points(self, rng):
+        # The C-order read does not bounds-check cell indices, so a NaN
+        # coordinate must not reach it.
+        model = SpatialCorrelationModel(grid_size=8)
+        with pytest.raises(ValueError):
+            model.sample_at(np.array([0.5, np.nan]), np.array([0.5, 0.5]), 4, rng)

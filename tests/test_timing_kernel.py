@@ -233,7 +233,14 @@ class TestReferenceIndependence:
                 )
                 imported.add(module)
                 imported.update(f"{module}.{alias.name}" for alias in node.names)
-        fast_path = ("repro.timing.ssta", "repro.timing.sta", "repro.core.clark")
+        fast_path = (
+            "repro.timing.ssta",
+            "repro.timing.sta",
+            "repro.core.clark",
+            "repro.process.sampling",
+            "repro.timing.delay_model",
+            "repro.montecarlo",
+        )
         shared = {
             name
             for name in imported
