@@ -43,6 +43,7 @@ from repro.api.spec import DesignSpec, DesignStudySpec
 from repro.core.pipeline_delay import PipelineDelayModel
 from repro.core.stage_delay import gaussian_yield
 from repro.core.yield_model import stage_yield_budget
+from repro.optimize.balance import BalancedDesignResult
 from repro.optimize.global_opt import (
     GlobalPipelineOptimizer,
     pipeline_stage_statistics,
@@ -505,15 +506,15 @@ def derive_design_targets(
 
 
 def _require_uniform_target(
-    optimizer_name: str, target_delay: float | Mapping[str, float]
+    optimizer_name: str, balanced: BalancedDesignResult
 ) -> float:
-    if isinstance(target_delay, Mapping):
+    if balanced.stage_targets is not None:
         raise ValueError(
             f"the {optimizer_name!r} optimizer needs a single pipeline delay "
             "target; the 'stage_relative' delay policy is only meaningful for "
             "the 'balanced' optimizer"
         )
-    return float(target_delay)
+    return balanced.target_delay
 
 
 def _assemble_report(
@@ -584,7 +585,7 @@ class BalancedDesigner:
     name = "balanced"
 
     def design(self, session: "Session", spec: DesignStudySpec) -> DesignReport:
-        balanced, _, stage_yield, stage_targets = session.balanced_design(spec)
+        balanced = session.balanced_design(spec)
         # Under the "stage_relative" policy the report's headline target is
         # the loosest per-stage target; otherwise it is the common target.
         target_delay = balanced.target_delay
@@ -601,8 +602,11 @@ class BalancedDesigner:
             spec,
             balanced.pipeline,
             target_delay=target_delay,
-            stage_yield=stage_yield,
-            stage_targets=stage_targets,
+            stage_yield=balanced.stage_yield_target,
+            stage_targets={
+                name: balanced.stage_results[name].target_delay
+                for name in balanced.pipeline.stage_names
+            },
             trace=trace,
             baseline=baseline,
             # The balanced pipeline is also the baseline other optimizers
@@ -620,8 +624,9 @@ class RedistributeDesigner:
 
     def design(self, session: "Session", spec: DesignStudySpec) -> DesignReport:
         design = spec.design
-        balanced, target_delay, stage_yield, _ = session.balanced_design(spec)
-        target_delay = _require_uniform_target(self.name, target_delay)
+        balanced = session.balanced_design(spec)
+        target_delay = _require_uniform_target(self.name, balanced)
+        stage_yield = balanced.stage_yield_target
         sizer = session.sizer(spec.variation, design)
         curves = session.area_delay_curves(spec, stage_yield)
         result = redistribute_area(
@@ -662,8 +667,8 @@ class GlobalDesigner:
 
     def design(self, session: "Session", spec: DesignStudySpec) -> DesignReport:
         design = spec.design
-        balanced, target_delay, stage_yield, _ = session.balanced_design(spec)
-        target_delay = _require_uniform_target(self.name, target_delay)
+        balanced = session.balanced_design(spec)
+        target_delay = _require_uniform_target(self.name, balanced)
         sizer = session.sizer(spec.variation, design)
         curve_yield = design.yield_target ** (1.0 / balanced.pipeline.n_stages)
         curves = session.area_delay_curves(spec, curve_yield)
@@ -697,7 +702,7 @@ class GlobalDesigner:
             spec,
             result.pipeline,
             target_delay=target_delay,
-            stage_yield=stage_yield,
+            stage_yield=balanced.stage_yield_target,
             stage_targets={name: target_delay for name in result.pipeline.stage_names},
             trace=trace,
             baseline=baseline,

@@ -104,6 +104,14 @@ class Session:
     session operates on an automatic :meth:`~repro.pipeline.pipeline.Pipeline.copy`
     (see :meth:`pipeline_copy`), so sizing one spec can never perturb a
     later analysis query of the same spec.
+
+    :meth:`run` and :meth:`clear` hold the session's re-entrant lock, so
+    threads sharing one session (the study server's worker bridge) compute
+    one spec at a time.  The lock is taken per spec, not per sweep: a sweep
+    executed on a shared session waits for it once per point, and its
+    retry backoff, checkpoint I/O and process-pool waits run outside it.
+    A point's ``point_timeout`` clock therefore includes any time the
+    point spends waiting for another thread's computation.
     """
 
     def __init__(
@@ -122,13 +130,14 @@ class Session:
         # embedder sharing a session across threads) would otherwise
         # undercount under load.  Plain reads of the ints stay lock-free.
         self._counter_lock = threading.Lock()
+        self._lock = threading.RLock()
         self._pipelines: dict[PipelineSpec, Pipeline] = {}
         self._variations: dict[VariationSpec, VariationModel] = {}
         self._mc_runs: dict[tuple, PipelineMonteCarloResult] = {}
         self._analyzers: dict[tuple, StatisticalTimingAnalyzer] = {}
         self._reports: dict[tuple, DelayReport] = {}
         self._sizers: dict[tuple, StageSizer] = {}
-        self._balanced: dict[tuple, tuple] = {}
+        self._balanced: dict[tuple, "BalancedDesignResult"] = {}
         self._curves: dict[tuple, dict[str, "AreaDelayCurve"]] = {}
         self._design_reports: dict[tuple, "DesignReport"] = {}
         self._design_validations: dict[tuple, DelayReport] = {}
@@ -256,26 +265,25 @@ class Session:
             self._sizers[key] = sizer
         return sizer
 
-    def balanced_design(self, spec: DesignStudySpec):
-        """Balanced baseline + resolved targets, cached by the balance key.
+    def balanced_design(self, spec: DesignStudySpec) -> "BalancedDesignResult":
+        """Balanced baseline, cached by the balance key.
 
-        Returns ``(balanced, target_delay, stage_yield_target,
-        stage_targets)`` where ``balanced`` is the
-        :class:`~repro.optimize.balance.BalancedDesignResult` every
-        optimizer starts from, ``target_delay`` is a float (or per-stage
-        mapping under the ``"stage_relative"`` policy) and ``stage_targets``
-        always maps stage name to its concrete delay target.  Two design
-        specs differing only in optimizer/redistribution/ordering knobs
-        share one cached baseline, which is what lets optimizer-axis sweep
-        points reuse the expensive sizing work.
+        Returns the :class:`~repro.optimize.balance.BalancedDesignResult`
+        every optimizer starts from; it carries the resolved targets
+        (``target_delay``, ``stage_yield_target``, and ``stage_targets``
+        under the ``"stage_relative"`` policy) next to each stage's sizing
+        result.  Two design specs differing only in
+        optimizer/redistribution/ordering knobs share one cached baseline,
+        which is what lets optimizer-axis sweep points reuse the expensive
+        sizing work.
         """
         from repro.api.design import derive_design_targets
         from repro.optimize.balance import design_balanced_pipeline
 
         design = spec.design
         key = (spec.pipeline, spec.variation, design.balance_key())
-        cached = self._balanced.get(key)
-        if cached is None:
+        balanced = self._balanced.get(key)
+        if balanced is None:
             self._count("cache_misses")
             base = self.pipeline_copy(spec.pipeline)
             sizer = self.sizer(spec.variation, design)
@@ -287,15 +295,10 @@ class Session:
                 design.yield_target,
                 stage_yield_target=stage_yield,
             )
-            stage_targets = {
-                name: balanced.stage_results[name].target_delay
-                for name in balanced.pipeline.stage_names
-            }
-            cached = (balanced, target_delay, stage_yield, stage_targets)
-            self._balanced[key] = cached
+            self._balanced[key] = balanced
         else:
             self._count("cache_hits")
-        return cached
+        return balanced
 
     def area_delay_curves(
         self, spec: DesignStudySpec, curve_yield: float
@@ -466,11 +469,13 @@ class Session:
 
         Dispatches on the spec type, so sweeps and one-shot facades treat
         :class:`~repro.api.spec.StudySpec` and
-        :class:`~repro.api.spec.DesignStudySpec` uniformly.
+        :class:`~repro.api.spec.DesignStudySpec` uniformly.  Threads
+        sharing the session run one spec at a time (see the class notes).
         """
-        if isinstance(spec, DesignStudySpec):
-            return self.design(spec)
-        return self.analyze(spec)
+        with self._lock:
+            if isinstance(spec, DesignStudySpec):
+                return self.design(spec)
+            return self.analyze(spec)
 
     def stats(self) -> dict:
         """Counters and cache sizes, as one JSON-safe dictionary.
@@ -506,22 +511,23 @@ class Session:
 
     def clear(self) -> None:
         """Drop every cached intermediate and report."""
-        self._pipelines.clear()
-        self._variations.clear()
-        self._mc_runs.clear()
-        self._analyzers.clear()
-        self._reports.clear()
-        self._sizers.clear()
-        self._balanced.clear()
-        self._curves.clear()
-        self._design_reports.clear()
-        self._design_validations.clear()
-        with self._counter_lock:
-            self.cache_hits = 0
-            self.cache_misses = 0
-            self.store_hits = 0
-            self.store_writes = 0
-            self.store_io_seconds = 0.0
+        with self._lock:
+            self._pipelines.clear()
+            self._variations.clear()
+            self._mc_runs.clear()
+            self._analyzers.clear()
+            self._reports.clear()
+            self._sizers.clear()
+            self._balanced.clear()
+            self._curves.clear()
+            self._design_reports.clear()
+            self._design_validations.clear()
+            with self._counter_lock:
+                self.cache_hits = 0
+                self.cache_misses = 0
+                self.store_hits = 0
+                self.store_writes = 0
+                self.store_io_seconds = 0.0
 
 
 class Study:

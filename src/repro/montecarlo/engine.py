@@ -174,33 +174,55 @@ class MonteCarloEngine:
         )
         return comb + overhead
 
+    def _sample_stages(self, stages: list[PipelineStage]) -> np.ndarray:
+        """Delay samples of every stage on shared dies, ``(n_samples, n_stages)``.
+
+        The chunk loop of one run: all stages' devices are drawn together,
+        so each sample's inter-die deviation and systematic field are shared
+        by every stage.  The run's Vth and length buffers hold one chunk;
+        every chunk is drawn into their leading rows, and each stage's gate
+        delays overwrite its Vth columns.
+        """
+        rng = self._rng()
+        devices = [self._stage_device_arrays(stage) for stage in stages]
+        device_counts = [sizes.shape[0] for sizes, _, _ in devices]
+        sizes, xs, ys = (np.concatenate(column) for column in zip(*devices))
+        nominals = [self._nominal_delays(stage) for stage in stages]
+
+        stage_delays = np.zeros((self.n_samples, len(stages)))
+        chunks = self._chunk_counts()
+        buffers = np.empty((2, chunks[0], sizes.shape[0]))
+        workspaces = [
+            np.empty((chunks[0], stage.netlist.n_gates))
+            if stage.netlist.n_gates > 0
+            else None
+            for stage in stages
+        ]
+        sample_offset = 0
+        for count in chunks:
+            samples = self.sampler.sample(
+                sizes, xs, ys, count, rng, out=buffers[:, :count]
+            )
+            device_offset = 0
+            for index, stage in enumerate(stages):
+                n_devices = device_counts[index]
+                vth = samples.vth[:, device_offset : device_offset + n_devices]
+                length = samples.length[:, device_offset : device_offset + n_devices]
+                stage_delays[
+                    sample_offset : sample_offset + count, index
+                ] = self._stage_delay_from_samples(
+                    stage, vth, length, nominals[index], workspaces[index]
+                )
+                device_offset += n_devices
+            sample_offset += count
+        return stage_delays
+
     # ------------------------------------------------------------------
     # Public API
     # ------------------------------------------------------------------
     def run_stage(self, stage: PipelineStage) -> MonteCarloResult:
         """Monte-Carlo delay distribution of a single stage."""
-        rng = self._rng()
-        sizes, xs, ys = self._stage_device_arrays(stage)
-        nominal = self._nominal_delays(stage)
-        delays = np.empty(self.n_samples)
-        chunks = self._chunk_counts()
-        # The run's Vth and length buffers: every chunk is drawn into their
-        # leading rows, and its gate delays overwrite the Vth columns.
-        buffers = np.empty((2, chunks[0], sizes.shape[0]))
-        workspace = (
-            np.empty((chunks[0], stage.netlist.n_gates))
-            if stage.netlist.n_gates > 0
-            else None
-        )
-        offset = 0
-        for count in chunks:
-            samples = self.sampler.sample(
-                sizes, xs, ys, count, rng, out=buffers[:, :count]
-            )
-            delays[offset : offset + count] = self._stage_delay_from_samples(
-                stage, samples.vth, samples.length, nominal, workspace
-            )
-            offset += count
+        delays = np.ascontiguousarray(self._sample_stages([stage])[:, 0])
         return MonteCarloResult(delays, name=stage.name)
 
     def run_netlist(
@@ -224,51 +246,7 @@ class MonteCarloEngine:
         field, so the measured cross-stage correlations reflect the variation
         model (and the stages' physical placement) rather than being imposed.
         """
-        rng = self._rng()
-        per_stage_device_counts: list[int] = []
-        all_sizes: list[np.ndarray] = []
-        all_x: list[np.ndarray] = []
-        all_y: list[np.ndarray] = []
-        for stage in pipeline.stages:
-            sizes, xs, ys = self._stage_device_arrays(stage)
-            per_stage_device_counts.append(sizes.shape[0])
-            all_sizes.append(sizes)
-            all_x.append(xs)
-            all_y.append(ys)
-
-        sizes = np.concatenate(all_sizes)
-        xs = np.concatenate(all_x)
-        ys = np.concatenate(all_y)
-        nominals = [self._nominal_delays(stage) for stage in pipeline.stages]
-
-        stage_delays = np.zeros((self.n_samples, pipeline.n_stages))
-        chunks = self._chunk_counts()
-        buffers = np.empty((2, chunks[0], sizes.shape[0]))
-        workspaces = [
-            np.empty((chunks[0], stage.netlist.n_gates))
-            if stage.netlist.n_gates > 0
-            else None
-            for stage in pipeline.stages
-        ]
-        sample_offset = 0
-        for count in chunks:
-            samples = self.sampler.sample(
-                sizes, xs, ys, count, rng, out=buffers[:, :count]
-            )
-            device_offset = 0
-            for index, stage in enumerate(pipeline.stages):
-                n_devices = per_stage_device_counts[index]
-                vth = samples.vth[:, device_offset : device_offset + n_devices]
-                length = samples.length[:, device_offset : device_offset + n_devices]
-                stage_delays[
-                    sample_offset : sample_offset + count, index
-                ] = self._stage_delay_from_samples(
-                    stage, vth, length, nominals[index], workspaces[index]
-                )
-                device_offset += n_devices
-            sample_offset += count
-
         return PipelineMonteCarloResult(
-            stage_samples=stage_delays,
+            stage_samples=self._sample_stages(pipeline.stages),
             stage_names=tuple(pipeline.stage_names),
         )

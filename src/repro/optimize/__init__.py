@@ -5,7 +5,11 @@ primitive -- "minimise the area of one stage subject to a statistical delay
 (yield) constraint", attributed to Choi et al. (DAC 2004) -- and composes it
 into a global pipeline optimization (Fig. 9).  This subpackage provides:
 
-* :mod:`repro.optimize.result` -- result containers shared by the sizers.
+* :mod:`repro.optimize.result` -- the :class:`SizingResult` both sizers
+  return.
+* :mod:`repro.optimize.base` -- the scaffold both sizers share: size
+  bounds, the embedded SSTA engine, the statistical delay budget and the
+  final evaluation of a sizing run.
 * :mod:`repro.optimize.sizers` -- the :class:`StageSizer` strategy protocol
   and the named sizer registry (``"lagrangian"``, ``"greedy"``) that the
   Design API (:mod:`repro.api.design`) resolves specs against.
@@ -26,7 +30,7 @@ into a global pipeline optimization (Fig. 9).  This subpackage provides:
   full-pipeline statistical timing after every stage.
 """
 
-from repro.optimize.result import SizingResult, StageDesignRecord
+from repro.optimize.result import SizingResult
 from repro.optimize.lagrangian import LagrangianSizer
 from repro.optimize.greedy import GreedySizer
 from repro.optimize.sizers import (
@@ -43,7 +47,6 @@ from repro.optimize.global_opt import GlobalPipelineOptimizer, GlobalOptimizatio
 
 __all__ = [
     "SizingResult",
-    "StageDesignRecord",
     "LagrangianSizer",
     "GreedySizer",
     "StageSizer",

@@ -15,6 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.core.imbalance import sensitivity_ratio
+from repro.core.stage_delay import StageDelayDistribution
 from repro.pipeline.stage import PipelineStage
 
 
@@ -132,10 +133,9 @@ def characterize_stage(
     stage:
         Stage to characterise (its netlist sizes are restored afterwards).
     sizer:
-        Any sizer exposing ``size_stage(stage, target_delay, target_yield,
-        apply=...)`` and ``minimum_area_delay(stage, target_yield)`` --
-        :class:`~repro.optimize.lagrangian.LagrangianSizer` or
-        :class:`~repro.optimize.greedy.GreedySizer`.
+        Any :class:`~repro.optimize.sizers.StageSizer`: its ``size_stage``
+        sizes each target and its ``ssta`` engine and ``min_size`` give the
+        all-minimum-size endpoint.
     target_yield:
         Stage yield at which every point's delay is evaluated.
     n_points:
@@ -153,25 +153,26 @@ def characterize_stage(
 
     original_sizes = stage.netlist.sizes()
     try:
-        max_delay, min_area = sizer.minimum_area_delay(stage, target_yield)
-        points: list[AreaDelayPoint] = []
-
-        # Endpoint: the all-minimum-size design.
+        # Endpoint: the all-minimum-size design, whose delay scales the
+        # targets of every other point.
         sizes_min = np.full(stage.netlist.n_gates, sizer.min_size)
         form = sizer.ssta.stage_delay(
             stage.netlist, stage.flipflop, stage.register_position, sizes=sizes_min
         )
-        points.append(
+        max_delay = StageDelayDistribution.from_canonical(
+            form, name=stage.name
+        ).delay_at_yield(target_yield)
+        points = [
             AreaDelayPoint(
                 target_delay=max_delay,
                 delay=max_delay,
                 mean=form.mean,
                 std=form.sigma,
-                area=min_area,
+                area=stage.netlist.total_area(sizes_min),
                 sizes=sizes_min,
                 met_target=True,
             )
-        )
+        ]
 
         fractions = np.linspace(low, high, n_points, endpoint=False)
         for fraction in fractions:

@@ -21,8 +21,10 @@ the *complete* pipeline:
 4. Optionally repeat the pass (the paper's iterate-until-optimal loop); one
    to two passes are enough in practice.
 
-The result records the per-stage areas and yields before and after, which is
-exactly what Tables II and III report.
+The result carries the designed pipeline, the stage order, the ratios and
+the per-stage sizing results.  The areas and yields before and after, which
+Tables II and III report, are snapshots of the input and designed pipelines
+(:func:`repro.api.design.snapshot_pipeline`).
 """
 
 from __future__ import annotations
@@ -49,12 +51,7 @@ def pipeline_stage_statistics(
     :class:`~repro.optimize.sizers.StageSizer` (its embedded SSTA engine is
     used).
     """
-    forms = [
-        sizer.ssta.stage_delay(
-            stage.netlist, stage.flipflop, stage.register_position
-        )
-        for stage in pipeline.stages
-    ]
+    forms = sizer.ssta.pipeline_stage_forms(pipeline)
     distributions = [
         StageDelayDistribution.from_canonical(form, name=stage.name)
         for form, stage in zip(forms, pipeline.stages)
@@ -64,44 +61,13 @@ def pipeline_stage_statistics(
 
 
 @dataclass(frozen=True)
-class PipelineSnapshot:
-    """Areas, per-stage yields and pipeline yield of a pipeline at one point."""
-
-    stage_names: tuple[str, ...]
-    stage_areas: np.ndarray
-    stage_yields: np.ndarray
-    total_area: float
-    pipeline_yield: float
-
-
-@dataclass(frozen=True)
 class GlobalOptimizationResult:
     """Outcome of the Fig. 9 global optimization."""
 
     pipeline: Pipeline
-    target_delay: float
-    target_yield: float
-    before: PipelineSnapshot
-    after: PipelineSnapshot
     stage_order: tuple[str, ...]
     sensitivity_ratios: dict[str, float]
     sizing_results: dict[str, SizingResult]
-
-    @property
-    def yield_improvement(self) -> float:
-        """Pipeline yield change in percentage points."""
-        return (self.after.pipeline_yield - self.before.pipeline_yield) * 100.0
-
-    @property
-    def area_change_percent(self) -> float:
-        """Total area change in percent of the starting area."""
-        if self.before.total_area == 0.0:
-            return 0.0
-        return (
-            100.0
-            * (self.after.total_area - self.before.total_area)
-            / self.before.total_area
-        )
 
 
 class GlobalPipelineOptimizer:
@@ -148,36 +114,6 @@ class GlobalPipelineOptimizer:
         self.rounds = int(rounds)
         self.ordering = ordering
         self.max_stage_yield = float(max_stage_yield)
-
-    # ------------------------------------------------------------------
-    # Full-pipeline statistical timing
-    # ------------------------------------------------------------------
-    def pipeline_statistics(
-        self, pipeline: Pipeline
-    ) -> tuple[list[StageDelayDistribution], np.ndarray]:
-        """Stage delay distributions and their correlation matrix (SSTA)."""
-        return pipeline_stage_statistics(self.sizer, pipeline)
-
-    def pipeline_yield(self, pipeline: Pipeline, target_delay: float) -> float:
-        """Full-pipeline yield at a target delay from the statistical model."""
-        distributions, correlations = self.pipeline_statistics(pipeline)
-        model = PipelineDelayModel(distributions, correlations)
-        return model.estimate().yield_at(target_delay)
-
-    def snapshot(self, pipeline: Pipeline, target_delay: float) -> PipelineSnapshot:
-        """Record areas, stage yields and pipeline yield of the current design."""
-        distributions, correlations = self.pipeline_statistics(pipeline)
-        model = PipelineDelayModel(distributions, correlations)
-        stage_yields = np.array(
-            [distribution.yield_at(target_delay) for distribution in distributions]
-        )
-        return PipelineSnapshot(
-            stage_names=tuple(pipeline.stage_names),
-            stage_areas=pipeline.stage_areas(),
-            stage_yields=stage_yields,
-            total_area=pipeline.total_area(),
-            pipeline_yield=model.estimate().yield_at(target_delay),
-        )
 
     # ------------------------------------------------------------------
     # Stage budget search
@@ -244,7 +180,6 @@ class GlobalPipelineOptimizer:
         target_delay: float,
         target_yield: float,
         curves: dict[str, AreaDelayCurve] | None = None,
-        stage_yield_for_curves: float | None = None,
     ) -> GlobalOptimizationResult:
         """Run the Fig. 9 flow on a copy of ``pipeline``.
 
@@ -258,10 +193,8 @@ class GlobalPipelineOptimizer:
             Pipeline yield target ``Y``.
         curves:
             Pre-computed area-vs-delay curves keyed by stage name; computed
-            here (step 1.a) if omitted.
-        stage_yield_for_curves:
-            Yield at which curves are characterised when computed here;
-            defaults to the equal-split budget ``Y ** (1/N)``.
+            here (step 1.a) at the equal-split stage yield ``Y ** (1/N)``
+            if omitted.
         """
         if target_delay <= 0.0:
             raise ValueError(f"target_delay must be positive, got {target_delay}")
@@ -269,17 +202,11 @@ class GlobalPipelineOptimizer:
             raise ValueError(f"target_yield must be in (0, 1), got {target_yield}")
 
         designed = pipeline.copy(f"{pipeline.name}_globalopt")
-        before = self.snapshot(designed, target_delay)
-
-        if stage_yield_for_curves is None:
-            stage_yield_for_curves = target_yield ** (1.0 / designed.n_stages)
         if curves is None:
+            curve_yield = target_yield ** (1.0 / designed.n_stages)
             curves = {
                 stage.name: characterize_stage(
-                    stage,
-                    self.sizer,
-                    stage_yield_for_curves,
-                    n_points=self.curve_points,
+                    stage, self.sizer, curve_yield, n_points=self.curve_points
                 )
                 for stage in designed.stages
             }
@@ -297,7 +224,9 @@ class GlobalPipelineOptimizer:
         for _ in range(self.rounds):
             for stage_name in order:
                 stage_index = designed.stage_names.index(stage_name)
-                distributions, correlations = self.pipeline_statistics(designed)
+                distributions, correlations = pipeline_stage_statistics(
+                    self.sizer, designed
+                )
                 required = self._required_stage_yield(
                     distributions,
                     correlations,
@@ -310,13 +239,8 @@ class GlobalPipelineOptimizer:
                     stage, target_delay, required, apply=True
                 )
 
-        after = self.snapshot(designed, target_delay)
         return GlobalOptimizationResult(
             pipeline=designed,
-            target_delay=target_delay,
-            target_yield=target_yield,
-            before=before,
-            after=after,
             stage_order=tuple(order),
             sensitivity_ratios=ratios,
             sizing_results=sizing_results,

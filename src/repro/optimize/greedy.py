@@ -7,8 +7,9 @@ added area, until the statistical delay target is met (or no further
 improvement is possible).  It is used as a baseline for the sizer ablation
 benchmark and as a fast sizer for small blocks in the tests.
 
-The statistical target handling mirrors :class:`~repro.optimize.lagrangian.LagrangianSizer`:
-the yield constraint is converted to a deterministic combinational budget
+The statistical target handling is the shared
+:meth:`~repro.optimize.base.StageSizerBase.statistical_budget`: the yield
+constraint is converted to a deterministic combinational budget
 ``T_TARGET - mean(overhead) - k * sigma_stage`` and the sigma estimate is
 refreshed with SSTA every ``sigma_refresh`` accepted moves.
 """
@@ -18,20 +19,17 @@ from __future__ import annotations
 import time
 
 import numpy as np
-from scipy.special import ndtri
 
 from repro.circuit.schedule import expand_csr_rows
-from repro.core.stage_delay import StageDelayDistribution
+from repro.optimize.base import StageSizerBase
 from repro.optimize.result import SizingResult
 from repro.pipeline.stage import PipelineStage
 from repro.process.technology import Technology
 from repro.process.variation import VariationModel
-from repro.timing.delay_model import GateDelayModel
 from repro.timing.sta import arrival_times, critical_path
-from repro.timing.ssta import StatisticalTimingAnalyzer
 
 
-class GreedySizer:
+class GreedySizer(StageSizerBase):
     """Greedy (TILOS-style) statistical gate sizer for one stage.
 
     Every move re-evaluates nominal delays, arrivals, the critical path and
@@ -49,26 +47,13 @@ class GreedySizer:
         sigma_refresh: int = 50,
         grid_size: int = 8,
     ) -> None:
-        if min_size <= 0.0 or max_size < min_size:
-            raise ValueError(
-                f"need 0 < min_size <= max_size, got {min_size}, {max_size}"
-            )
+        super().__init__(
+            technology, variation, min_size, max_size, sigma_refresh, grid_size
+        )
         if size_step <= 1.0:
             raise ValueError(f"size_step must exceed 1, got {size_step}")
-        self.technology = technology
-        self.variation = variation
-        self.min_size = float(min_size)
-        self.max_size = float(max_size)
         self.size_step = float(size_step)
         self.max_moves = int(max_moves)
-        self.sigma_refresh = int(max(1, sigma_refresh))
-        self.delay_model = GateDelayModel(technology)
-        self.ssta = StatisticalTimingAnalyzer(technology, variation, grid_size=grid_size)
-
-    def _stage_form(self, stage: PipelineStage, sizes: np.ndarray):
-        return self.ssta.stage_delay(
-            stage.netlist, stage.flipflop, stage.register_position, sizes=sizes
-        )
 
     def size_stage(
         self,
@@ -78,16 +63,10 @@ class GreedySizer:
         apply: bool = True,
     ) -> SizingResult:
         """Size one stage greedily for the statistical delay target."""
-        if target_delay <= 0.0:
-            raise ValueError(f"target_delay must be positive, got {target_delay}")
-        if not 0.0 < target_yield < 1.0:
-            raise ValueError(f"target_yield must be in (0, 1), got {target_yield}")
-
+        self._check_targets(stage, target_delay, target_yield)
         start_time = time.perf_counter()
         netlist = stage.netlist
         n_gates = netlist.n_gates
-        if n_gates == 0:
-            raise ValueError(f"stage {stage.name!r} has no gates to size")
         tech = self.technology
         coeffs = netlist.cell_coefficients()
         area_coeff = coeffs["area_factor"] * tech.area_unit
@@ -97,25 +76,10 @@ class GreedySizer:
         # moves do not touch netlist structure, so every arrival/critical-path
         # evaluation below reuses the same CSR arrays.
         schedule = netlist.timing_schedule()
-        output_mask = netlist.output_mask()
-        if not output_mask.any():
-            output_mask = np.ones(n_gates, dtype=bool)
-        k_yield = float(ndtri(target_yield))
+        output_mask = self._output_mask(stage)
 
         sizes = np.full(n_gates, self.min_size)
-
-        def statistical_budget(current_sizes: np.ndarray) -> float:
-            """Deterministic arrival budget implied by the statistical target
-            (see :class:`~repro.optimize.lagrangian.LagrangianSizer`)."""
-            form = self._stage_form(stage, current_sizes)
-            nominal = self.delay_model.nominal_delays(netlist, current_sizes)
-            worst = float(arrival_times(netlist, nominal)[output_mask].max())
-            statistical_delay = form.mean + k_yield * form.sigma
-            guard = 0.004 * target_delay
-            value = worst + (target_delay - statistical_delay) - guard
-            return value if value > 0.0 else 0.05 * target_delay
-
-        budget = statistical_budget(sizes)
+        budget = self.statistical_budget(stage, sizes, target_delay, target_yield)
 
         moves = 0
         while moves < self.max_moves:
@@ -166,39 +130,10 @@ class GreedySizer:
             sizes[path_positions[best]] = proposed[best]
             moves += 1
             if moves % self.sigma_refresh == 0:
-                budget = statistical_budget(sizes)
+                budget = self.statistical_budget(
+                    stage, sizes, target_delay, target_yield
+                )
 
-        form = self._stage_form(stage, sizes)
-        distribution = StageDelayDistribution.from_canonical(form, name=stage.name)
-        achieved_yield = distribution.yield_at(target_delay)
-        met = achieved_yield + 1e-9 >= target_yield
-        if apply:
-            netlist.set_sizes(sizes)
-        return SizingResult(
-            sizes=sizes,
-            area=netlist.total_area(sizes),
-            stage_delay=distribution,
-            target_delay=target_delay,
-            target_yield=target_yield,
-            achieved_yield=achieved_yield,
-            met_target=met,
-            iterations=moves,
-            seconds=time.perf_counter() - start_time,
+        return self._result(
+            stage, sizes, target_delay, target_yield, moves, apply, start_time
         )
-
-    # ------------------------------------------------------------------
-    # Convenience queries (shared sizer-strategy surface)
-    # ------------------------------------------------------------------
-    def stage_distribution(self, stage: PipelineStage) -> StageDelayDistribution:
-        """Stage delay distribution at the stage's current sizes."""
-        form = self._stage_form(stage, stage.netlist.sizes())
-        return StageDelayDistribution.from_canonical(form, name=stage.name)
-
-    def minimum_area_delay(
-        self, stage: PipelineStage, target_yield: float
-    ) -> tuple[float, float]:
-        """Delay (at the target yield) and area of the all-minimum-size stage."""
-        sizes = np.full(stage.netlist.n_gates, self.min_size)
-        form = self._stage_form(stage, sizes)
-        distribution = StageDelayDistribution.from_canonical(form, name=stage.name)
-        return distribution.delay_at_yield(target_yield), stage.netlist.total_area(sizes)

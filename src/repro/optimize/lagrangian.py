@@ -41,19 +41,16 @@ from __future__ import annotations
 import time
 
 import numpy as np
-from scipy.special import ndtri
 
-from repro.core.stage_delay import StageDelayDistribution
+from repro.optimize.base import StageSizerBase
 from repro.optimize.result import SizingResult
 from repro.pipeline.stage import PipelineStage
 from repro.process.technology import Technology
 from repro.process.variation import VariationModel
-from repro.timing.delay_model import GateDelayModel
 from repro.timing.sta import arrival_times, required_times
-from repro.timing.ssta import StatisticalTimingAnalyzer
 
 
-class LagrangianSizer:
+class LagrangianSizer(StageSizerBase):
     """Statistical gate sizer for a single pipeline stage.
 
     Parameters
@@ -87,34 +84,18 @@ class LagrangianSizer:
         temperature_fraction: float = 0.04,
         grid_size: int = 8,
     ) -> None:
-        if min_size <= 0.0 or max_size < min_size:
-            raise ValueError(
-                f"need 0 < min_size <= max_size, got {min_size}, {max_size}"
-            )
+        super().__init__(
+            technology, variation, min_size, max_size, sigma_refresh, grid_size
+        )
         if max_outer < 1:
             raise ValueError(f"max_outer must be at least 1, got {max_outer}")
-        self.technology = technology
-        self.variation = variation
-        self.min_size = float(min_size)
-        self.max_size = float(max_size)
         self.max_outer = int(max_outer)
         self.sweeps_per_outer = int(sweeps_per_outer)
-        self.sigma_refresh = int(max(1, sigma_refresh))
         self.temperature_fraction = float(temperature_fraction)
-        self.delay_model = GateDelayModel(technology)
-        self.ssta = StatisticalTimingAnalyzer(technology, variation, grid_size=grid_size)
 
     # ------------------------------------------------------------------
     # Helpers
     # ------------------------------------------------------------------
-    def _edges(self, netlist) -> tuple[np.ndarray, np.ndarray]:
-        """Gate-to-gate timing arcs as (source, destination) index arrays."""
-        schedule = netlist.timing_schedule()
-        return (
-            schedule.fanin_idx.astype(int),
-            schedule.edge_owner.astype(int),
-        )
-
     def _resize_sweep(
         self,
         netlist,
@@ -174,11 +155,6 @@ class LagrangianSizer:
             sizes[gates] = np.where(valid, updated, sizes[gates])
         return sizes
 
-    def _stage_form(self, stage: PipelineStage, sizes: np.ndarray):
-        return self.ssta.stage_delay(
-            stage.netlist, stage.flipflop, stage.register_position, sizes=sizes
-        )
-
     # ------------------------------------------------------------------
     # Main entry point
     # ------------------------------------------------------------------
@@ -188,7 +164,6 @@ class LagrangianSizer:
         target_delay: float,
         target_yield: float,
         apply: bool = True,
-        initial_sizes: np.ndarray | None = None,
     ) -> SizingResult:
         """Size one stage for minimum area under a statistical delay target.
 
@@ -204,56 +179,23 @@ class LagrangianSizer:
             Probability with which the stage must meet ``target_delay``.
         apply:
             Whether to write the final sizes back into the stage netlist.
-        initial_sizes:
-            Optional starting sizes; defaults to all-minimum, which lets the
-            sizer find the smallest-area solution regardless of the stage's
-            current sizing.
-        """
-        if target_delay <= 0.0:
-            raise ValueError(f"target_delay must be positive, got {target_delay}")
-        if not 0.0 < target_yield < 1.0:
-            raise ValueError(f"target_yield must be in (0, 1), got {target_yield}")
 
+        Sizing starts from all-minimum sizes, which lets the sizer find the
+        smallest-area solution regardless of the stage's current sizing.
+        """
+        self._check_targets(stage, target_delay, target_yield)
         start_time = time.perf_counter()
         netlist = stage.netlist
         n_gates = netlist.n_gates
-        if n_gates == 0:
-            raise ValueError(f"stage {stage.name!r} has no gates to size")
         tech = self.technology
         coeffs = netlist.cell_coefficients()
         area_coeff = coeffs["area_factor"] * tech.area_unit
         input_cap_unit = coeffs["logical_effort"] * tech.c_unit
-        output_mask = netlist.output_mask()
-        if not output_mask.any():
-            output_mask = np.ones(n_gates, dtype=bool)
-        k_yield = float(ndtri(target_yield))
+        output_mask = self._output_mask(stage)
 
-        if initial_sizes is None:
-            sizes = np.full(n_gates, self.min_size)
-        else:
-            sizes = np.clip(np.asarray(initial_sizes, dtype=float), self.min_size, self.max_size)
-
-        def statistical_budget(current_sizes: np.ndarray) -> float:
-            """Deterministic arrival budget implied by the statistical target.
-
-            The budget is the current nominal worst arrival shifted by however
-            much the full statistical stage delay (SSTA mean + k * sigma,
-            including sequential overhead and the mean shift of the max over
-            near-critical paths) misses or beats the target.  Re-evaluating it
-            as sizes change keeps the deterministic inner loop honest about
-            the statistical constraint it is standing in for.  A small guard
-            band keeps the final design from missing the statistical target
-            by round-off between the two views.
-            """
-            form = self._stage_form(stage, current_sizes)
-            nominal = self.delay_model.nominal_delays(netlist, current_sizes)
-            worst = float(arrival_times(netlist, nominal)[output_mask].max())
-            statistical_delay = form.mean + k_yield * form.sigma
-            guard = 0.004 * target_delay
-            return worst + (target_delay - statistical_delay) - guard
-
-        # Initial statistical margin and delay budget.
-        budget = statistical_budget(sizes)
+        sizes = np.full(n_gates, self.min_size)
+        # Initial statistical delay budget.
+        budget = self.statistical_budget(stage, sizes, target_delay, target_yield)
 
         lam = np.ones(n_gates)
         loads = netlist.load_capacitances(sizes)
@@ -277,25 +219,19 @@ class LagrangianSizer:
             worst_arrival = float(arrivals[output_mask].max())
 
             if outer > 0 and outer % self.sigma_refresh == 0:
-                budget = statistical_budget(sizes)
+                budget = self.statistical_budget(
+                    stage, sizes, target_delay, target_yield
+                )
 
-            if budget <= 0.0:
-                # The statistical margin alone exceeds the target; no sizing
-                # can satisfy the constraint.  Keep iterating with a tiny
-                # positive budget so the result is the fastest design.
-                effective_budget = 0.05 * target_delay
-            else:
-                effective_budget = budget
-
-            slack = required_times(netlist, nominal, effective_budget) - arrivals
+            slack = required_times(netlist, nominal, budget) - arrivals
             worst_slack = float(slack[output_mask].min())
 
             # Multiplier updates: per-gate criticality plus global scale.
-            temperature = max(self.temperature_fraction * effective_budget, 1e-15)
+            temperature = max(self.temperature_fraction * budget, 1e-15)
             update = np.exp(np.clip(-slack / temperature, -1.0, 1.0))
             lam = np.clip(lam * update, 1e-9, 1e9)
             lam *= n_gates / lam.sum()
-            if worst_arrival > effective_budget:
+            if worst_arrival > budget:
                 global_multiplier *= 1.25
             else:
                 global_multiplier *= 0.90
@@ -314,7 +250,7 @@ class LagrangianSizer:
             resized_arrivals = arrival_times(netlist, resized_delays)
             resized_worst = float(resized_arrivals[output_mask].max())
             area_after = netlist.total_area(sizes)
-            if resized_worst <= effective_budget and area_after < best_area:
+            if resized_worst <= budget and area_after < best_area:
                 best_area = area_after
                 best_sizes = sizes.copy()
             if resized_worst < fastest_arrival:
@@ -335,37 +271,12 @@ class LagrangianSizer:
         # return the fastest design found (best effort) rather than whatever
         # the last multiplier state produced.
         final_sizes = best_sizes if best_sizes is not None else fastest_sizes
-        form = self._stage_form(stage, final_sizes)
-        distribution = StageDelayDistribution.from_canonical(form, name=stage.name)
-        achieved_yield = distribution.yield_at(target_delay)
-        met = achieved_yield + 1e-9 >= target_yield
-        if apply:
-            netlist.set_sizes(final_sizes)
-        return SizingResult(
-            sizes=final_sizes,
-            area=netlist.total_area(final_sizes),
-            stage_delay=distribution,
-            target_delay=target_delay,
-            target_yield=target_yield,
-            achieved_yield=achieved_yield,
-            met_target=met,
-            iterations=iterations_used,
-            seconds=time.perf_counter() - start_time,
+        return self._result(
+            stage,
+            final_sizes,
+            target_delay,
+            target_yield,
+            iterations_used,
+            apply,
+            start_time,
         )
-
-    # ------------------------------------------------------------------
-    # Convenience queries
-    # ------------------------------------------------------------------
-    def stage_distribution(self, stage: PipelineStage) -> StageDelayDistribution:
-        """Stage delay distribution at the stage's current sizes."""
-        form = self._stage_form(stage, stage.netlist.sizes())
-        return StageDelayDistribution.from_canonical(form, name=stage.name)
-
-    def minimum_area_delay(
-        self, stage: PipelineStage, target_yield: float
-    ) -> tuple[float, float]:
-        """Delay (at the target yield) and area of the all-minimum-size stage."""
-        sizes = np.full(stage.netlist.n_gates, self.min_size)
-        form = self._stage_form(stage, sizes)
-        distribution = StageDelayDistribution.from_canonical(form, name=stage.name)
-        return distribution.delay_at_yield(target_yield), stage.netlist.total_area(sizes)

@@ -1,8 +1,8 @@
-"""Result containers shared by the sizing and pipeline-optimization code."""
+"""The result container both stage sizers return."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -52,16 +52,3 @@ class SizingResult:
         """Positive when the yield-constrained delay beats the target (seconds)."""
         return self.target_delay - self.stage_delay.delay_at_yield(self.target_yield)
 
-
-@dataclass
-class StageDesignRecord:
-    """Per-stage row of the Table II / Table III style reports."""
-
-    name: str
-    area: float
-    area_percent: float
-    yield_percent: float
-
-    def as_row(self) -> list[object]:
-        """Row for :func:`repro.analysis.reporting.format_table`."""
-        return [self.name, round(self.area_percent, 1), round(self.yield_percent, 1)]

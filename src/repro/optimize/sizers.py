@@ -2,11 +2,13 @@
 
 The paper treats the statistical sizing primitive (Choi et al., DAC 2004) as
 a black box: every design flow in :mod:`repro.optimize` only needs something
-that can *size one stage for a statistical delay target* and answer a couple
-of characterisation queries.  This module names that contract
+that can *size one stage for a statistical delay target* and report a
+stage's delay distribution.  This module names that contract
 (:class:`StageSizer`) and keeps a registry of implementations so design
 specs can address a sizer by name (``"lagrangian"``, ``"greedy"``) the same
-way analysis specs address delay backends.
+way analysis specs address delay backends.  Both built-in sizers derive
+from :class:`~repro.optimize.base.StageSizerBase`, which owns everything
+but the sizing loop.
 
 A registered factory has the signature ``factory(technology, variation,
 **options)`` and returns a ready sizer; ``options`` are the sizer's own
@@ -31,14 +33,15 @@ from repro.process.variation import VariationModel
 class StageSizer(Protocol):
     """Anything that can size one pipeline stage for a statistical target.
 
-    The three methods are exactly the surface the design flows consume:
-    :func:`~repro.optimize.balance.design_balanced_pipeline` and
-    :class:`~repro.optimize.global_opt.GlobalPipelineOptimizer` call
-    ``size_stage``, :func:`~repro.optimize.area_delay.characterize_stage`
-    additionally needs ``minimum_area_delay``, and the target-delay policies
-    of the Design API use ``stage_distribution``.  ``ssta`` exposes the
-    sizer's embedded statistical timing engine, which the pipeline-level
-    flows reuse for full-pipeline statistics.
+    The two methods are exactly the surface the design flows consume:
+    :func:`~repro.optimize.balance.design_balanced_pipeline`,
+    :class:`~repro.optimize.global_opt.GlobalPipelineOptimizer` and
+    :func:`~repro.optimize.area_delay.characterize_stage` call
+    ``size_stage``, and the target-delay policies of the Design API use
+    ``stage_distribution``.  ``ssta`` exposes the sizer's embedded
+    statistical timing engine, which the pipeline-level flows reuse for
+    full-pipeline statistics and ``characterize_stage`` for the
+    all-``min_size`` endpoint of a curve.
     """
 
     min_size: float
@@ -56,12 +59,6 @@ class StageSizer(Protocol):
 
     def stage_distribution(self, stage: PipelineStage) -> StageDelayDistribution:
         """Stage delay distribution at the stage's current sizes."""
-        ...  # pragma: no cover - protocol signature
-
-    def minimum_area_delay(
-        self, stage: PipelineStage, target_yield: float
-    ) -> tuple[float, float]:
-        """Delay (at the target yield) and area of the all-minimum-size stage."""
         ...  # pragma: no cover - protocol signature
 
 

@@ -69,6 +69,9 @@ class ExecutionPolicy:
         bound.  Enforced preemptively in process pools (worker replaced),
         post-hoc in serial runs -- where the clock covers the evaluation
         only, excluding the session's checkpoint-store read-through I/O.
+        On a session shared between threads (a served sweep) the serial
+        clock also covers time the point waits for the session's lock
+        while another thread's computation holds it.
     sweep_deadline:
         Seconds the whole sweep may take, or ``None``.  On expiry no new
         points are submitted, points still running in a process pool are
@@ -76,7 +79,8 @@ class ExecutionPolicy:
         failure (serial runs finish the point in progress first).
     checkpoint_dir:
         Directory of the content-addressed checkpoint store, or ``None``
-        to disable checkpointing.
+        to disable checkpointing.  ``POST /v1/sweep`` rejects a policy that
+        sets it: a served sweep persists through the server's own store.
     """
 
     max_retries: int = 0

@@ -35,11 +35,13 @@ Three production concerns shape the implementation:
   :class:`~repro.robust.checkpoint.CheckpointStore` read-through makes
   them survive restarts).
 * **A bounded worker bridge.**  Handlers never run NumPy on the event
-  loop: computation is pushed to a thread pool, and the shared session is
-  guarded by one lock (its caches are plain dicts).  Request concurrency
-  therefore buys coalescing, caching and I/O overlap; *compute* fan-out
-  comes from the sweep executor's process pool (``n_jobs``), which releases
-  the session lock's thread while child processes work.
+  loop: computation is pushed to a thread pool, and the shared session
+  serialises its computations on its own lock (its caches are plain
+  dicts), taken per spec in :meth:`~repro.api.session.Session.run`.
+  Request concurrency therefore buys coalescing, caching and I/O overlap;
+  *compute* fan-out comes from the sweep executor's process pool
+  (``n_jobs``), and a sweep's retry backoff, checkpoint I/O and pool waits
+  run outside the lock, so unary requests are served meanwhile.
 * **Backpressure and graceful drain.**  Admission is checked against
   :class:`~repro.serve.budgets.ServeBudgets` (sampling caps per tier, sweep
   size, ``max_in_flight``); excess load gets structured 429/413 envelopes
@@ -200,7 +202,6 @@ class StudyServer:
         self._executor = ThreadPoolExecutor(
             max_workers=self.config.workers, thread_name_prefix="repro-serve"
         )
-        self._session_lock = threading.Lock()
         self._inflight: dict[str, asyncio.Future] = {}
         self._active = 0  #: requests currently computing (coalesced waiters excluded)
         self._handlers: set[asyncio.Task] = set()
@@ -509,8 +510,7 @@ class StudyServer:
 
     def _compute(self, spec):
         """Worker-thread entrypoint: one spec through the shared session."""
-        with self._session_lock:
-            return self.session.run(spec)
+        return self.session.run(spec)
 
     # ------------------------------------------------------------------
     # Streaming endpoint: /v1/sweep
@@ -556,6 +556,11 @@ class StudyServer:
                 if payload.get("policy") is not None
                 else ExecutionPolicy()
             )
+            if policy.checkpoint_dir is not None:
+                raise ValueError(
+                    "'policy.checkpoint_dir' is not accepted over the network; "
+                    "the server persists reports through its --store"
+                )
             chunk_size = payload.get("chunk")
             if chunk_size is not None:
                 chunk_size = max(1, int(chunk_size))
@@ -579,11 +584,18 @@ class StudyServer:
         Point-spec derivation (and per-point SeedSequence spawning) is CPU
         work proportional to the sweep size; running it here keeps the
         event loop responsive while a large-but-within-budget sweep builds.
+        Every design point passes the same :func:`check_design` as a
+        ``/v1/design`` body, so a bad optimizer, sizer or sizer option
+        fails the request before any point computes.
         """
         from repro.api.sweep import ScenarioSweep
 
         sweep = ScenarioSweep(base, axes, mode=mode, seed_policy=seed_policy)
-        return sweep.tasks(self.session)
+        tasks = sweep.tasks(self.session)
+        for task in tasks:
+            if isinstance(task.spec, DesignStudySpec):
+                check_design(task.spec.design)
+        return tasks
 
     def _sweep_chunk_size(self, n_jobs: int | None, override: int | None) -> int:
         if override is not None:
@@ -598,14 +610,12 @@ class StudyServer:
         """Worker-thread entrypoint: one streamed batch through the executor.
 
         ``execute_tasks`` with ``n_jobs > 1`` fans out to its own process
-        pool; the session lock is held for the batch, which keeps the
-        shared caches consistent (sweep parallelism lives in the child
-        processes, not in racing session threads).
+        pool (sweep parallelism lives in the child processes, not in racing
+        session threads).  A serial batch takes the session's lock once per
+        point, inside :meth:`~repro.api.session.Session.run`, so retry
+        backoff, checkpoint I/O and pool waits never hold it.
         """
-        with self._session_lock:
-            return execute_tasks(
-                tasks, self.session, policy=policy, n_jobs=n_jobs
-            )
+        return execute_tasks(tasks, self.session, policy=policy, n_jobs=n_jobs)
 
     async def _handle_sweep(
         self, request: HttpRequest, writer: asyncio.StreamWriter

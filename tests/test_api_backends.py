@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import sys
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 import pytest
 from scipy.stats import norm
@@ -224,6 +227,36 @@ class TestSessionCaching:
         c = Session(root_seed=78).analyze(spec)
         assert a == b
         assert a.pipeline_mean != c.pipeline_mean
+
+    def test_threads_sharing_a_session_characterise_once(self):
+        """``Session.run`` serialises threads: no characterisation races.
+
+        Two seeds through the Monte-Carlo and analytic backends need two
+        characterisations, each reused once; racing threads that missed
+        the same cache entry would count more.
+        """
+        specs = [
+            StudySpec(
+                pipeline=PipelineSpec(n_stages=2, logic_depth=3),
+                analysis=AnalysisSpec(backend=backend, n_samples=100, seed=seed),
+            )
+            for seed in (1, 2)
+            for backend in ("montecarlo", "analytic")
+        ]
+        session = Session()
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=8) as pool:
+                futures = [
+                    pool.submit(session.run, specs[i % len(specs)]) for i in range(32)
+                ]
+                reports = [future.result(timeout=60) for future in futures]
+        finally:
+            sys.setswitchinterval(interval)
+        assert (session.cache_hits, session.cache_misses) == (2, 2)
+        for i, report in enumerate(reports):
+            assert report is reports[i % len(specs)]
 
 
 class TestStudyFacade:

@@ -218,8 +218,8 @@ class TestDesignRuns:
         assert curves_a is curves_b
 
     def test_balanced_baseline_shared_between_optimizers(self, session):
-        balanced_a, *_ = session.balanced_design(design_spec())
-        balanced_b, *_ = session.balanced_design(
+        balanced_a = session.balanced_design(design_spec())
+        balanced_b = session.balanced_design(
             design_spec().with_optimizer("global")
         )
         assert balanced_a is balanced_b

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.core.stage_delay import StageDelayDistribution
-from repro.optimize.result import SizingResult, StageDesignRecord
+from repro.optimize.result import SizingResult
 
 
 def make_result(
@@ -71,24 +71,3 @@ class TestSizingResultDelayMargin:
     def test_seconds_defaults_to_zero(self):
         assert make_result().seconds == 0.0
 
-
-class TestStageDesignRecord:
-    def test_as_row_rounds_to_one_decimal(self):
-        record = StageDesignRecord(
-            name="c432", area=12.345, area_percent=49.876, yield_percent=97.349
-        )
-        assert record.as_row() == ["c432", 49.9, 97.3]
-
-    def test_as_row_keeps_name_first(self):
-        record = StageDesignRecord(
-            name="decoder", area=1.0, area_percent=0.0, yield_percent=100.0
-        )
-        row = record.as_row()
-        assert row[0] == "decoder"
-        assert len(row) == 3
-
-    def test_as_row_handles_integral_values(self):
-        record = StageDesignRecord(
-            name="s", area=5.0, area_percent=25.0, yield_percent=80.0
-        )
-        assert record.as_row() == ["s", 25.0, 80.0]

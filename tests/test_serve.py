@@ -19,12 +19,15 @@ from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
+from repro.api import backends as backends_module
 from repro.api.backends import get_backend, register_backend
 from repro.api.canonical import spec_digest, spec_to_wire
 from repro.api.session import Session
 from repro.api.spec import (
     AnalysisSpec,
+    DesignSpec,
     DesignStudySpec,
+    ExecutionPolicy,
     PipelineSpec,
     StudySpec,
 )
@@ -62,6 +65,19 @@ class SleepyBackend:
 
 SLEEPY = SleepyBackend()
 register_backend(SLEEPY, replace=True)
+
+class AlwaysFailsBackend:
+    """Raises on every call; ``called`` is set by the first one."""
+
+    name = "always-fails"
+
+    def __init__(self) -> None:
+        self.called = threading.Event()
+
+    def analyze(self, session, study):
+        self.called.set()
+        raise RuntimeError("this backend always fails")
+
 
 SLEEPY_SPEC = StudySpec(
     pipeline=PipelineSpec(n_stages=2),
@@ -350,6 +366,48 @@ class TestMalformedRequests:
         assert (status, payload["error"]["type"]) == (400, "InvalidSweep")
         assert "n_jobs" in payload["error"]["message"]
 
+    def test_sweep_policy_naming_a_checkpoint_dir_is_a_typed_400(
+        self, server, tmp_path
+    ):
+        """A client must not pick where the server writes files."""
+        planted = tmp_path / "evil_dir" / "planted"
+        body = {
+            "base": spec_to_wire(SMALL),
+            "axes": {"analysis.seed": [1]},
+            "policy": {"checkpoint_dir": str(planted)},
+        }
+        status, payload = raw_request(
+            server, "POST", "/v1/sweep", body=json.dumps(body).encode()
+        )
+        assert (status, payload["error"]["type"]) == (400, "InvalidSweep")
+        assert "checkpoint_dir" in payload["error"]["message"]
+        assert not (tmp_path / "evil_dir").exists()
+        assert server.server.stats.streams == 0
+
+    @pytest.mark.parametrize(
+        "design, axes",
+        [
+            (DesignSpec(), {"design.optimizer": ["balanced", "no-such-optimizer"]}),
+            (
+                DesignSpec(sizer_options={"incremental": False}),
+                {"design.optimizer": ["balanced", "global"]},
+            ),
+        ],
+        ids=["unknown-optimizer", "unknown-sizer-option"],
+    )
+    def test_sweep_with_invalid_design_points_is_a_typed_400(
+        self, server, design, axes
+    ):
+        """The design points a /v1/design body would reject never run."""
+        base = DesignStudySpec(pipeline=PipelineSpec(n_stages=2), design=design)
+        body = {"base": spec_to_wire(base), "axes": axes}
+        status, payload = raw_request(
+            server, "POST", "/v1/sweep", body=json.dumps(body).encode()
+        )
+        assert (status, payload["error"]["type"]) == (400, "InvalidSweep"), payload
+        stats = server.server.stats
+        assert (stats.streams, stats.errors, stats.rejected_invalid) == (0, 0, 1)
+
 
 class TestSweepStreaming:
     def test_stream_matches_local_run_sweep(self, server, client):
@@ -423,6 +481,47 @@ class TestSweepStreaming:
         # fresh connection gets a clean, normal exchange.
         with Client(server.host, server.port) as follow_up:
             assert follow_up.health()["status"] == "ok"
+
+
+class TestSessionLock:
+    def test_unary_study_answers_while_a_sweep_backs_off(
+        self, server, monkeypatch
+    ):
+        """Retry backoff runs outside the session's lock.
+
+        The sweep's only point fails and then waits out a 3 s backoff
+        before its retry; a unary study of another spec must not wait
+        behind that sleep.
+        """
+        failing = AlwaysFailsBackend()
+        monkeypatch.setitem(backends_module._BACKENDS, failing.name, failing)
+        sweep = ScenarioSweep(
+            SMALL.with_backend(failing.name), {"analysis.seed": [1]}
+        )
+        policy = ExecutionPolicy(
+            max_retries=1, backoff_base=3.0, backoff_jitter=0.0
+        )
+        outcome = {}
+
+        def stream():
+            with Client(server.host, server.port, timeout=30) as c:
+                outcome["result"] = c.sweep_result(sweep, policy=policy)
+
+        streamer = threading.Thread(target=stream)
+        streamer.start()
+        try:
+            assert failing.called.wait(30.0)
+            started = time.monotonic()
+            with Client(server.host, server.port, timeout=30) as c:
+                c.study(SMALL.with_backend("ssta"))
+            elapsed = time.monotonic() - started
+            backing_off = streamer.is_alive()
+        finally:
+            streamer.join(30.0)
+        assert elapsed < 1.5
+        assert backing_off
+        failures = outcome["result"].failures
+        assert [(f.error_type, f.attempts) for f in failures] == [("RuntimeError", 2)]
 
 
 class TestClientRetry:

@@ -5,6 +5,7 @@ import pytest
 
 from repro.circuit.flipflop import FlipFlopTiming
 from repro.circuit.generators import inverter_chain, random_logic_block
+from repro.optimize.area_delay import characterize_stage
 from repro.optimize.greedy import GreedySizer
 from repro.optimize.lagrangian import LagrangianSizer
 from repro.pipeline.stage import PipelineStage
@@ -88,9 +89,18 @@ class TestLagrangianSizer:
             LagrangianSizer(technology, variation_combined, min_size=2.0, max_size=1.0)
 
     def test_minimum_area_delay(self, lagrangian_sizer, stage):
-        delay, area = lagrangian_sizer.minimum_area_delay(stage, 0.93)
-        assert delay > 0.0
-        assert area == pytest.approx(stage.netlist.total_area(np.ones(stage.n_gates)))
+        """The all-minimum-size endpoint of the stage's area-delay curve."""
+        stage.netlist.set_sizes(np.ones(stage.n_gates))
+        curve = characterize_stage(stage, lagrangian_sizer, 0.93, n_points=1)
+        endpoint = min(curve.points, key=lambda point: point.area)
+        assert np.all(endpoint.sizes == lagrangian_sizer.min_size)
+        assert endpoint.delay > 0.0
+        assert endpoint.delay == lagrangian_sizer.stage_distribution(
+            stage
+        ).delay_at_yield(0.93)
+        assert endpoint.area == pytest.approx(
+            stage.netlist.total_area(np.ones(stage.n_gates))
+        )
 
     def test_inverter_chain_geometric_like_sizing(self, lagrangian_sizer):
         """Sizing a loaded chain should taper sizes towards the load."""
@@ -106,9 +116,6 @@ class TestLagrangianSizer:
 
 class TestGreedySizer:
     def test_meets_moderate_target(self, greedy_sizer, stage):
-        base_delay, _ = greedy_sizer.minimum_area_delay(stage, 0.93) if hasattr(
-            greedy_sizer, "minimum_area_delay"
-        ) else (None, None)
         form = greedy_sizer.ssta.stage_delay(
             stage.netlist, stage.flipflop, stage.register_position,
             sizes=np.ones(stage.n_gates),
