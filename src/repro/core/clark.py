@@ -49,6 +49,11 @@ from repro.core.stage_delay import standard_normal_pdf
 _DEGENERATE_RATIO = 1e-12
 
 
+def _zero_d(*values):
+    """``values`` as 0-d float64 arrays, the type ``np.where`` returns."""
+    return tuple(np.array(value, dtype=float) for value in values)
+
+
 def clark_max(mean_a, var_a, mean_b, var_b, cov_ab):
     """Clark's moments of ``max(A, B)`` for jointly Gaussian ``A`` and ``B``.
 
@@ -57,11 +62,24 @@ def clark_max(mean_a, var_a, mean_b, var_b, cov_ab):
     tightness probability ``Pr{A > B} = Phi(alpha)`` that eq. 6 weights
     covariances with.  When ``A - B`` is (numerically) deterministic the max
     is whichever variable has the larger mean, and ``prob_a`` is 1 or 0.
+
+    The results are always arrays, 0-d for one pair.  That keeps the next
+    ``mean**2`` of a sequential fold on NumPy's square: on a NumPy scalar
+    ``**`` calls libm ``pow``, which rounds differently on some inputs.
     """
     total = var_a + var_b
     theta_sq = total - 2.0 * cov_ab
     degenerate = theta_sq <= _DEGENERATE_RATIO * total
-    theta = np.sqrt(np.where(degenerate, 1.0, theta_sq))
+    one_pair = np.ndim(degenerate) == 0
+    if one_pair:
+        # One pair: choose with ``if`` instead of five ``np.where`` calls.
+        if degenerate:
+            if mean_a >= mean_b:
+                return _zero_d(mean_a, var_a, 1.0)
+            return _zero_d(mean_b, var_b, 0.0)
+        theta = np.sqrt(theta_sq)
+    else:
+        theta = np.sqrt(np.where(degenerate, 1.0, theta_sq))
     alpha = (mean_a - mean_b) / theta
     prob_a = ndtr(alpha)
     prob_b = 1.0 - prob_a
@@ -73,6 +91,8 @@ def clark_max(mean_a, var_a, mean_b, var_b, cov_ab):
         + (mean_a + mean_b) * theta * phi
     )
     var = np.maximum(second_moment - mean**2, 0.0)
+    if one_pair:
+        return _zero_d(mean, var, prob_a)
     a_wins = mean_a >= mean_b
     mean = np.where(degenerate, np.where(a_wins, mean_a, mean_b), mean)
     var = np.where(degenerate, np.where(a_wins, var_a, var_b), var)

@@ -67,6 +67,7 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Any, Mapping
 
+from repro.api.backends import get_backend
 from repro.api.canonical import resolved_store_spec, spec_digest, spec_from_wire
 from repro.api.design import check_design
 from repro.api.session import Session
@@ -398,8 +399,7 @@ class StudyServer:
         cls = StudySpec if kind == "study" else DesignStudySpec
         try:
             spec = cls.from_dict(payload)
-            if kind == "design":
-                check_design(spec.design)
+            _check_names(spec)
             return spec
         except (ValueError, TypeError, KeyError) as exc:
             self.stats.rejected_invalid += 1
@@ -584,17 +584,16 @@ class StudyServer:
         Point-spec derivation (and per-point SeedSequence spawning) is CPU
         work proportional to the sweep size; running it here keeps the
         event loop responsive while a large-but-within-budget sweep builds.
-        Every design point passes the same :func:`check_design` as a
-        ``/v1/design`` body, so a bad optimizer, sizer or sizer option
-        fails the request before any point computes.
+        Every point passes the same name checks as a ``/v1/study`` or
+        ``/v1/design`` body, so an unknown backend, optimizer, sizer or
+        sizer option fails the request before any point computes.
         """
         from repro.api.sweep import ScenarioSweep
 
         sweep = ScenarioSweep(base, axes, mode=mode, seed_policy=seed_policy)
         tasks = sweep.tasks(self.session)
         for task in tasks:
-            if isinstance(task.spec, DesignStudySpec):
-                check_design(task.spec.design)
+            _check_names(task.spec)
         return tasks
 
     def _sweep_chunk_size(self, n_jobs: int | None, override: int | None) -> int:
@@ -776,6 +775,17 @@ def _sweep_point_count(axes: Mapping[str, Any], mode: str) -> int:
     for length in lengths:
         count *= length
     return count
+
+
+def _check_names(spec: StudySpec | DesignStudySpec) -> None:
+    """Resolve the registry names a spec uses; an unknown one raises.
+
+    A study names its analysis backend; a design, its optimizer and sizer.
+    """
+    if isinstance(spec, DesignStudySpec):
+        check_design(spec.design)
+    else:
+        get_backend(spec.analysis.backend)
 
 
 class BackgroundServer:

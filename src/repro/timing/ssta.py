@@ -122,14 +122,34 @@ def _canonical_max(mean_a, sens_a, rand_a, mean_b, sens_b, rand_b):
     """Clark max of ``k`` pairs of canonical forms, as raw components.
 
     Means and randoms are ``(k,)`` and sensitivities ``(k, n_factors)``, or
-    scalars and ``(n_factors,)`` for a single pair.
+    scalars and ``(n_factors,)`` for a single pair.  A block is folded in
+    place: the max's sensitivities overwrite ``sens_a``, and ``sens_b`` is
+    used as scratch.  Both must be C-ordered (see :func:`_dot`).
     """
     var_a = _dot(sens_a, sens_a) + rand_a * rand_a
     var_b = _dot(sens_b, sens_b) + rand_b * rand_b
     mean, var, prob_a = clark_max(mean_a, var_a, mean_b, var_b, _dot(sens_a, sens_b))
-    sens = prob_a[..., None] * sens_a + (1.0 - prob_a)[..., None] * sens_b
+    if sens_a.ndim == 1:
+        sens = prob_a[..., None] * sens_a + (1.0 - prob_a)[..., None] * sens_b
+    else:
+        sens = np.multiply(sens_a, prob_a[:, None], out=sens_a)
+        sens += np.multiply(sens_b, (1.0 - prob_a)[:, None], out=sens_b)
     rand = np.sqrt(np.maximum(var - _dot(sens, sens), 0.0))
     return mean, sens, rand
+
+
+def _take_rows(sources: tuple, rows: np.ndarray, into: tuple) -> tuple:
+    """Gather ``rows`` of each source array into the leading rows of ``into``.
+
+    The plans' indices are valid by construction, and ``mode="clip"`` lets
+    ``take`` write straight into the buffer: the default ``"raise"``
+    gathers into a copy of ``out`` first.
+    """
+    k = rows.shape[0]
+    return tuple(
+        np.take(source, rows, axis=0, out=block[:k], mode="clip")
+        for source, block in zip(sources, into)
+    )
 
 
 class StatisticalTimingAnalyzer:
@@ -166,9 +186,13 @@ class StatisticalTimingAnalyzer:
         self.spatial = SpatialCorrelationModel(
             grid_size=grid_size, correlation_length=variation.correlation_length
         )
-        self._spatial_loadings = self._build_spatial_loadings(variance_coverage)
+        loadings = self._build_spatial_loadings(variance_coverage)
         # Factor basis: [vth_inter, l_inter, spatial components...]
-        self.n_factors = 2 + self._spatial_loadings.shape[1]
+        self.n_factors = 2 + loadings.shape[1]
+        # The cell table: one full-width, C-ordered sensitivity row per grid
+        # cell, zero in the inter-die columns, so gate rows gather whole.
+        self._cell_rows = np.zeros((self.spatial.n_cells, self.n_factors))
+        self._cell_rows[:, 2:] = loadings
 
     # ------------------------------------------------------------------
     # Factor basis construction
@@ -199,6 +223,43 @@ class StatisticalTimingAnalyzer:
     # ------------------------------------------------------------------
     # Gate delay forms
     # ------------------------------------------------------------------
+    def _gate_coefficients(
+        self, netlist: Netlist, sizes: np.ndarray | None
+    ) -> tuple[dict[str, np.ndarray], np.ndarray | None]:
+        """Per-gate delay coefficients, and each gate's spatial grid cell.
+
+        The cells are ``None`` when the basis has no spatial factors.
+        """
+        coefficients = self.delay_model.sensitivity_coefficients(
+            netlist, self.variation, sizes
+        )
+        cells = None
+        if self.n_factors > 2:
+            xs, ys = netlist.positions()
+            cells = self.spatial.cell_index(xs, ys)
+        return coefficients, cells
+
+    def _gate_rows(
+        self,
+        coefficients: dict[str, np.ndarray],
+        cells: np.ndarray | None,
+        rows,
+        out: np.ndarray,
+    ) -> np.ndarray:
+        """Write the sensitivity rows of the gates ``rows`` into ``out``.
+
+        The spatial columns are ``sigma_systematic * loadings[cell]``, taken
+        from the cell table as whole rows so every pass over ``out`` is
+        contiguous; the two inter-die columns are written over the table's
+        zero columns.
+        """
+        if cells is not None:
+            np.take(self._cell_rows, cells[rows], axis=0, out=out, mode="clip")
+            np.multiply(coefficients["sigma_systematic"][rows, None], out, out=out)
+        out[:, 0] = coefficients["sigma_vth_inter"][rows]
+        out[:, 1] = coefficients["sigma_l_inter"][rows]
+        return out
+
     def gate_delay_components(
         self, netlist: Netlist, sizes: np.ndarray | None = None
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -207,70 +268,84 @@ class StatisticalTimingAnalyzer:
         Returns ``(means, sensitivities, randoms)`` with shapes
         ``(n_gates,)``, ``(n_gates, n_factors)`` and ``(n_gates,)``.
         """
-        coefficients = self.delay_model.sensitivity_coefficients(
-            netlist, self.variation, sizes
+        coefficients, cells = self._gate_coefficients(netlist, sizes)
+        means = coefficients["mean"]
+        sensitivities = self._gate_rows(
+            coefficients, cells, slice(None), np.empty((means.shape[0], self.n_factors))
         )
-        n_gates = coefficients["mean"].shape[0]
-        sensitivities = np.zeros((n_gates, self.n_factors))
-        sensitivities[:, 0] = coefficients["sigma_vth_inter"]
-        sensitivities[:, 1] = coefficients["sigma_l_inter"]
-        if self._spatial_loadings.shape[1] > 0:
-            xs, ys = netlist.positions()
-            cells = self.spatial.cell_index(xs, ys)
-            loadings = self._spatial_loadings[cells, :]
-            sensitivities[:, 2:] = (
-                coefficients["sigma_systematic"][:, None] * loadings
-            )
-        return coefficients["mean"], sensitivities, coefficients["sigma_random"]
+        return means, sensitivities, coefficients["sigma_random"]
 
     # ------------------------------------------------------------------
     # Arrival-time propagation
     # ------------------------------------------------------------------
+    def _plan_arrivals(
+        self, netlist: Netlist, sizes: np.ndarray | None
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """Arrival components stored level by level in plan order.
+
+        Returns ``(means, sensitivities, randoms, row_of)``: gate ``g``'s
+        arrival is row ``row_of[g]``.  Each level's rows are one contiguous
+        block, so the block is the fold's accumulator and nothing is
+        scattered afterwards.  At each level the pairwise Clark fold over
+        every gate's fanins is batched by fanin rank: one
+        :func:`_canonical_max` call folds the ``j``-th fanin of all gates in
+        the level simultaneously, preserving the per-gate left-to-right pin
+        order of the scalar reference.  The plan sorts the level's gates by
+        fanin count, so the gates still folding their rank-``j`` fanin are
+        always a prefix of the block.  One level-wide buffer takes the
+        gathered fanin rows, which the fold uses as scratch, and then the
+        level's own gate rows; no full gate-sensitivity matrix is built.
+        """
+        coefficients, cells = self._gate_coefficients(netlist, sizes)
+        means = coefficients["mean"]
+        rands = coefficients["sigma_random"]
+        plans = netlist.timing_schedule().level_plans
+        n_gates = means.shape[0]
+        # Every row is written by exactly one level plan.
+        arrivals = (np.empty(n_gates), np.empty((n_gates, self.n_factors)), np.empty(n_gates))
+        row_of = np.empty(n_gates, dtype=np.intp)
+        widest = max((plan.width for plan in plans), default=0)
+        fanin = (np.empty(widest), np.empty((widest, self.n_factors)), np.empty(widest))
+        start = 0
+        for plan in plans:
+            gates, stop = plan.gates, start + plan.width
+            row_of[gates] = np.arange(start, stop)
+            level_mean, level_sens, level_rand = (a[start:stop] for a in arrivals)
+            if plan.edge_cols is None:
+                # Source gates: the arrival is the gate's own delay form.
+                level_mean[:] = means[gates]
+                self._gate_rows(coefficients, cells, gates, level_sens)
+                level_rand[:] = rands[gates]
+                start = stop
+                continue
+            # Fanins sit in earlier levels; gathering from those rows only
+            # keeps ``take`` from copying the level block it writes.
+            earlier = tuple(a[:start] for a in arrivals)
+            cols = row_of[plan.edge_cols]
+            _take_rows(earlier, cols[: plan.width], (level_mean, level_sens, level_rand))
+            offset = plan.width
+            for count in plan.rank_counts:
+                nxt = _take_rows(earlier, cols[offset : offset + count], fanin)
+                level_mean[:count], _, level_rand[:count] = _canonical_max(
+                    level_mean[:count], level_sens[:count], level_rand[:count], *nxt
+                )
+                offset += count
+            level_mean += means[gates]
+            level_sens += self._gate_rows(coefficients, cells, gates, fanin[1][: plan.width])
+            np.hypot(level_rand, rands[gates], out=level_rand)
+            start = stop
+        return (*arrivals, row_of)
+
     def arrival_components(
         self, netlist: Netlist, sizes: np.ndarray | None = None
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Canonical arrival-time components at every gate output.
 
-        Propagates level by level over the netlist's compiled schedule.  At
-        each level the pairwise Clark fold over every gate's fanins is
-        batched by fanin rank: one :func:`_canonical_max` call folds the
-        ``j``-th fanin of all gates in the level simultaneously, preserving
-        the per-gate left-to-right pin order of the scalar reference.  The
-        plan sorts the level's gates by fanin count, so the gates still
-        folding their rank-``j`` fanin are always a prefix of the level.
+        Propagates level by level over the netlist's compiled schedule (see
+        :meth:`_plan_arrivals`) and returns the components in gate order.
         """
-        means, sens, rands = self.gate_delay_components(netlist, sizes)
-        schedule = netlist.timing_schedule()
-        n_gates = means.shape[0]
-        arr_mean = np.zeros(n_gates)
-        arr_sens = np.zeros((n_gates, self.n_factors))
-        arr_rand = np.zeros(n_gates)
-        for plan in schedule.level_plans:
-            gates = plan.gates
-            if plan.edge_cols is None:
-                # Source gates: the arrival is the gate's own delay form.
-                arr_mean[gates] = means[gates]
-                arr_sens[gates] = sens[gates]
-                arr_rand[gates] = rands[gates]
-                continue
-            cols = plan.edge_cols
-            first = cols[: plan.width]
-            acc_mean = arr_mean[first]
-            acc_sens = arr_sens[first]
-            acc_rand = arr_rand[first]
-            offset = plan.width
-            for count in plan.rank_counts:
-                nxt = cols[offset : offset + count]
-                folded = _canonical_max(
-                    acc_mean[:count], acc_sens[:count], acc_rand[:count],
-                    arr_mean[nxt], arr_sens[nxt], arr_rand[nxt],
-                )
-                acc_mean[:count], acc_sens[:count], acc_rand[:count] = folded
-                offset += count
-            arr_mean[gates] = acc_mean + means[gates]
-            arr_sens[gates] = acc_sens + sens[gates]
-            arr_rand[gates] = np.hypot(acc_rand, rands[gates])
-        return arr_mean, arr_sens, arr_rand
+        *arrivals, row_of = self._plan_arrivals(netlist, sizes)
+        return tuple(np.take(a, row_of, axis=0) for a in arrivals)
 
     def combinational_delay(
         self, netlist: Netlist, sizes: np.ndarray | None = None
@@ -281,23 +356,23 @@ class StatisticalTimingAnalyzer:
         """
         if netlist.n_gates == 0:
             return CanonicalForm.constant(0.0, self.n_factors)
-        arr_mean, arr_sens, arr_rand = self.arrival_components(netlist, sizes)
+        arr_mean, arr_sens, arr_rand, row_of = self._plan_arrivals(netlist, sizes)
         mask = netlist.output_mask()
         if not mask.any():
             mask = np.ones(arr_mean.shape[0], dtype=bool)
-        positions = np.where(mask)[0]
+        rows = row_of[np.where(mask)[0]]
         # Process outputs in increasing order of mean arrival; the paper notes
         # (after Ross/Clark) that this ordering minimises the approximation
         # error of the pairwise max.
-        positions = positions[np.argsort(arr_mean[positions])]
+        rows = rows[np.argsort(arr_mean[rows])]
         # Gather the sorted chain into contiguous arrays once, then fold; the
         # pairwise chain itself is inherently sequential (each max feeds the
         # next) but this avoids re-indexing the component arrays every step.
-        chain_mean = arr_mean[positions]
-        chain_sens = arr_sens[positions]
-        chain_rand = arr_rand[positions]
+        chain_mean = arr_mean[rows]
+        chain_sens = arr_sens[rows]
+        chain_rand = arr_rand[rows]
         mean, sens, rand = chain_mean[0], chain_sens[0], chain_rand[0]
-        for pos in range(1, positions.shape[0]):
+        for pos in range(1, rows.shape[0]):
             mean, sens, rand = _canonical_max(
                 mean, sens, rand, chain_mean[pos], chain_sens[pos], chain_rand[pos]
             )
@@ -319,9 +394,9 @@ class StatisticalTimingAnalyzer:
         sens = np.zeros(self.n_factors)
         sens[0] = mean * vth_slope * var.sigma_vth_inter
         sens[1] = mean * var.sigma_l_inter
-        if self._spatial_loadings.shape[1] > 0:
+        if self.n_factors > 2:
             cell = int(self.spatial.cell_index(position[0], position[1]))
-            loading = self._spatial_loadings[cell, :]
+            loading = self._cell_rows[cell, 2:]
             sens[2:] = mean * (
                 vth_slope * var.sigma_vth_systematic + var.sigma_l_systematic
             ) * loading

@@ -2,13 +2,17 @@
 
 import numpy as np
 import pytest
+from scipy.special import ndtr
 from scipy.stats import norm
 
 from repro.core.clark import (
+    _DEGENERATE_RATIO,
+    clark_max,
     correlation_with_max,
     max_of_gaussians,
     max_of_two_gaussians,
 )
+from repro.core.stage_delay import standard_normal_pdf
 
 
 class TestMaxOfTwo:
@@ -198,3 +202,117 @@ class TestMaxOfGaussians:
         corr = np.array([[1.0, 0.2], [0.5, 1.0]])
         with pytest.raises(ValueError):
             max_of_gaussians(np.zeros(2), np.ones(2), corr)
+
+
+def clark_max_where(mean_a, var_a, mean_b, var_b, cov_ab):
+    """``clark_max`` before its one-pair branch: every pair through ``np.where``."""
+    total = var_a + var_b
+    theta_sq = total - 2.0 * cov_ab
+    degenerate = theta_sq <= _DEGENERATE_RATIO * total
+    theta = np.sqrt(np.where(degenerate, 1.0, theta_sq))
+    alpha = (mean_a - mean_b) / theta
+    prob_a = ndtr(alpha)
+    prob_b = 1.0 - prob_a
+    phi = standard_normal_pdf(alpha)
+    mean = mean_a * prob_a + mean_b * prob_b + theta * phi
+    second_moment = (
+        (mean_a**2 + var_a) * prob_a
+        + (mean_b**2 + var_b) * prob_b
+        + (mean_a + mean_b) * theta * phi
+    )
+    var = np.maximum(second_moment - mean**2, 0.0)
+    a_wins = mean_a >= mean_b
+    mean = np.where(degenerate, np.where(a_wins, mean_a, mean_b), mean)
+    var = np.where(degenerate, np.where(a_wins, var_a, var_b), var)
+    prob_a = np.where(degenerate, a_wins, prob_a)
+    return mean, var, prob_a
+
+
+def pow_differs_means(count: int) -> list[float]:
+    """Delay-sized means whose scalar ``x**2`` (libm ``pow``) is not ``x*x``."""
+    draws = np.random.default_rng(0).uniform(50e-12, 500e-12, 100_000).tolist()
+    found = [x for x in draws if x**2 != x * x][:count]
+    assert len(found) == count, "this libm squares every draw exactly"
+    return found
+
+
+def one_pair_cases() -> list[tuple[float, ...]]:
+    """``(mean_a, var_a, mean_b, var_b, cov_ab)`` pairs, degenerate ones included."""
+    rng = np.random.default_rng(7)
+    cases = []
+    for _ in range(200):
+        mean_a, mean_b = rng.uniform(100e-12, 300e-12, 2)
+        std_a, std_b = rng.uniform(1e-12, 30e-12, 2)
+        rho = rng.uniform(-1.0, 1.0)
+        cases.append((mean_a, std_a**2, mean_b, std_b**2, rho * std_a * std_b))
+    mean, var = 150e-12, 9e-24
+    cases += [
+        (mean, var, mean, var, var),  # identical forms
+        (mean, var, mean + 7e-12, var, var),  # a constant shift, both ways
+        (mean + 7e-12, var, mean, var, var),
+        (90e-12, 0.0, 120e-12, 0.0, 0.0),  # zero variances, both ways
+        (120e-12, 0.0, 90e-12, 0.0, 0.0),
+        (mean, 0.0, mean, 0.0, 0.0),  # a degenerate mean tie
+        (mean, var, mean, 4.0 * var, 0.5 * var),  # a mean tie that is not
+    ]
+    pow_means = pow_differs_means(6)
+    for mean_a, mean_b in zip(pow_means[::2], pow_means[1::2]):
+        cases += [
+            (mean_a, var, mean_b, 2.0 * var, 0.3 * var),
+            (mean_a, var, mean_a, var, var),
+            (mean_a, 0.0, mean_b, 0.0, 0.0),
+        ]
+    return cases
+
+
+ONE_PAIR_INPUTS = {
+    "python-float": float,
+    "numpy-scalar": np.float64,
+    "0-d-array": np.array,
+}
+
+
+def assert_same_results(actual, expected) -> None:
+    """Equal types, dtypes, shapes and bytes, result by result."""
+    assert len(actual) == len(expected)
+    for got, want in zip(actual, expected):
+        assert type(got) is type(want)
+        assert (got.dtype, got.shape) == (want.dtype, want.shape)
+        assert got.tobytes() == want.tobytes()
+
+
+class TestClarkMaxOnePair:
+    """The one-pair branch of ``clark_max`` against the ``np.where`` kernel."""
+
+    @pytest.mark.parametrize("kind", ONE_PAIR_INPUTS)
+    def test_matches_where_kernel_bit_for_bit(self, kind):
+        convert = ONE_PAIR_INPUTS[kind]
+        for case in one_pair_cases():
+            args = [convert(value) for value in case]
+            assert_same_results(clark_max(*args), clark_max_where(*args))
+
+    def test_mixed_scalar_inputs_match(self):
+        """``max_of_gaussians`` passes floats with a NumPy-scalar covariance."""
+        for mean_a, var_a, mean_b, var_b, cov in one_pair_cases():
+            args = (mean_a, var_a, mean_b, np.float64(var_b), np.float64(cov))
+            assert_same_results(clark_max(*args), clark_max_where(*args))
+
+    @pytest.mark.parametrize("kind", ONE_PAIR_INPUTS)
+    def test_results_feed_a_sequential_fold_unchanged(self, kind):
+        """A degenerate step returns ``mean_a`` itself, which the next squares.
+
+        As a 0-d array it takes NumPy's square; a scalar would take libm
+        ``pow``, which rounds these means differently.
+        """
+        convert = ONE_PAIR_INPUTS[kind]
+        var = 9e-24
+        for mean in pow_differs_means(8):
+            first = [convert(value) for value in (mean, var, mean, var, var)]
+            nxt = (convert(mean - 3e-12), convert(2.0 * var), convert(0.2 * var))
+            ours = clark_max(*first)
+            theirs = clark_max_where(*first)
+            assert_same_results(ours, theirs)
+            assert_same_results(
+                clark_max(ours[0], ours[1], *nxt),
+                clark_max_where(theirs[0], theirs[1], *nxt),
+            )

@@ -341,6 +341,17 @@ class TestMalformedRequests:
         stats = server.server.stats
         assert (stats.computed, stats.errors, stats.rejected_invalid) == (0, 0, 1)
 
+    def test_unknown_backend_is_a_typed_400(self, server):
+        """Rejected while parsing, not answered 500 after admission."""
+        body = SMALL.with_backend("no-such-backend").to_dict()
+        status, payload = raw_request(
+            server, "POST", "/v1/study", body=json.dumps(body).encode()
+        )
+        assert (status, payload["error"]["type"]) == (400, "InvalidSpec"), payload
+        assert "no-such-backend" in payload["error"]["message"]
+        stats = server.server.stats
+        assert (stats.computed, stats.errors, stats.rejected_invalid) == (0, 0, 1)
+
     def test_unknown_endpoint_is_404_and_bad_method_is_405(self, server):
         status, payload = raw_request(server, "GET", "/v1/nope")
         assert (status, payload["error"]["type"]) == (404, "NotFound")
@@ -408,6 +419,20 @@ class TestMalformedRequests:
         stats = server.server.stats
         assert (stats.streams, stats.errors, stats.rejected_invalid) == (0, 0, 1)
 
+    def test_sweep_with_an_unknown_backend_point_is_a_typed_400(self, server):
+        """Not a 200 stream of per-point failures."""
+        body = {
+            "base": spec_to_wire(SMALL),
+            "axes": {"analysis.backend": ["ssta", "no-such-backend"]},
+        }
+        status, payload = raw_request(
+            server, "POST", "/v1/sweep", body=json.dumps(body).encode()
+        )
+        assert (status, payload["error"]["type"]) == (400, "InvalidSweep"), payload
+        assert "no-such-backend" in payload["error"]["message"]
+        stats = server.server.stats
+        assert (stats.streams, stats.errors, stats.rejected_invalid) == (0, 0, 1)
+
 
 class TestSweepStreaming:
     def test_stream_matches_local_run_sweep(self, server, client):
@@ -435,12 +460,15 @@ class TestSweepStreaming:
         assert served.trace.n_jobs == 2
         assert served.trace.pool_kind == "process"
 
-    def test_stream_carries_structured_failures(self, client):
-        axes = {"analysis.backend": ["montecarlo", "no-such-backend"]}
+    def test_stream_carries_structured_failures(self, client, monkeypatch):
+        """A point that fails while computing streams as a failure event."""
+        failing = AlwaysFailsBackend()
+        monkeypatch.setitem(backends_module._BACKENDS, failing.name, failing)
+        axes = {"analysis.backend": ["montecarlo", failing.name]}
         result = client.sweep_result(ScenarioSweep(SMALL, axes))
         assert len(result.points) == 1
         assert len(result.failures) == 1
-        assert result.failures[0].error_type == "KeyError"
+        assert result.failures[0].error_type == "RuntimeError"
         assert result.trace.n_failed == 1
 
     def test_stream_start_event_reports_size(self, client):

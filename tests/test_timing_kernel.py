@@ -35,6 +35,7 @@ from repro.timing.sta import arrival_times, critical_path, max_delay, required_t
 from repro.process.technology import default_technology
 from repro.process.variation import VariationModel
 from repro.verify.tolerances import Tolerance
+from test_clark import clark_max_where
 
 
 REL = 1e-12
@@ -217,6 +218,191 @@ class TestCanonicalMax:
         fast = assert_max_matches_seed(small, large)
         assert fast.mean == large.mean
         assert fast.sigma == 0.0
+
+
+# ----------------------------------------------------------------------
+# The allocating SSTA pass the in-place one replaced, kept verbatim as the
+# bit-for-bit reference: a full gate-sensitivity matrix, fresh row blocks
+# per rank step, a scatter per level, and the all-``np.where`` Clark kernel
+# (``test_clark.clark_max_where``).
+# ----------------------------------------------------------------------
+def allocating_dot(x, y):
+    if x.ndim == 1:
+        return np.dot(x, y)
+    return np.einsum("ij,ij->i", x, y)
+
+
+def allocating_canonical_max(mean_a, sens_a, rand_a, mean_b, sens_b, rand_b):
+    var_a = allocating_dot(sens_a, sens_a) + rand_a * rand_a
+    var_b = allocating_dot(sens_b, sens_b) + rand_b * rand_b
+    mean, var, prob_a = clark_max_where(
+        mean_a, var_a, mean_b, var_b, allocating_dot(sens_a, sens_b)
+    )
+    sens = prob_a[..., None] * sens_a + (1.0 - prob_a)[..., None] * sens_b
+    rand = np.sqrt(np.maximum(var - allocating_dot(sens, sens), 0.0))
+    return mean, sens, rand
+
+
+def allocating_gate_components(analyzer, netlist, sizes=None):
+    coefficients = analyzer.delay_model.sensitivity_coefficients(
+        netlist, analyzer.variation, sizes
+    )
+    n_gates = coefficients["mean"].shape[0]
+    sensitivities = np.zeros((n_gates, analyzer.n_factors))
+    sensitivities[:, 0] = coefficients["sigma_vth_inter"]
+    sensitivities[:, 1] = coefficients["sigma_l_inter"]
+    if analyzer.n_factors > 2:
+        # The loadings as eigh hands them back (F-ordered), as many as the basis keeps.
+        eigenvalues, eigenvectors = np.linalg.eigh(analyzer.spatial.correlation_matrix())
+        order = np.argsort(eigenvalues)[::-1]
+        eigenvalues = np.clip(eigenvalues[order], 0.0, None)
+        n_keep = analyzer.n_factors - 2
+        loadings = eigenvectors[:, order][:, :n_keep] * np.sqrt(eigenvalues[:n_keep])[None, :]
+        xs, ys = netlist.positions()
+        cells = analyzer.spatial.cell_index(xs, ys)
+        sensitivities[:, 2:] = coefficients["sigma_systematic"][:, None] * loadings[cells, :]
+    return coefficients["mean"], sensitivities, coefficients["sigma_random"]
+
+
+def allocating_arrival_components(analyzer, netlist, sizes=None):
+    means, sens, rands = allocating_gate_components(analyzer, netlist, sizes)
+    n_gates = means.shape[0]
+    arr_mean = np.zeros(n_gates)
+    arr_sens = np.zeros((n_gates, analyzer.n_factors))
+    arr_rand = np.zeros(n_gates)
+    for plan in netlist.timing_schedule().level_plans:
+        gates = plan.gates
+        if plan.edge_cols is None:
+            arr_mean[gates] = means[gates]
+            arr_sens[gates] = sens[gates]
+            arr_rand[gates] = rands[gates]
+            continue
+        cols = plan.edge_cols
+        first = cols[: plan.width]
+        acc_mean = arr_mean[first]
+        acc_sens = arr_sens[first]
+        acc_rand = arr_rand[first]
+        offset = plan.width
+        for count in plan.rank_counts:
+            nxt = cols[offset : offset + count]
+            folded = allocating_canonical_max(
+                acc_mean[:count], acc_sens[:count], acc_rand[:count],
+                arr_mean[nxt], arr_sens[nxt], arr_rand[nxt],
+            )
+            acc_mean[:count], acc_sens[:count], acc_rand[:count] = folded
+            offset += count
+        arr_mean[gates] = acc_mean + means[gates]
+        arr_sens[gates] = acc_sens + sens[gates]
+        arr_rand[gates] = np.hypot(acc_rand, rands[gates])
+    return arr_mean, arr_sens, arr_rand
+
+
+def allocating_combinational_delay(analyzer, netlist, sizes=None):
+    arr_mean, arr_sens, arr_rand = allocating_arrival_components(analyzer, netlist, sizes)
+    mask = netlist.output_mask()
+    if not mask.any():
+        mask = np.ones(arr_mean.shape[0], dtype=bool)
+    positions = np.where(mask)[0]
+    positions = positions[np.argsort(arr_mean[positions])]
+    chain_mean = arr_mean[positions]
+    chain_sens = arr_sens[positions]
+    chain_rand = arr_rand[positions]
+    mean, sens, rand = chain_mean[0], chain_sens[0], chain_rand[0]
+    for pos in range(1, positions.shape[0]):
+        mean, sens, rand = allocating_canonical_max(
+            mean, sens, rand, chain_mean[pos], chain_sens[pos], chain_rand[pos]
+        )
+    return float(mean), sens, float(rand)
+
+
+VARIATION_REGIMES = {
+    "combined": VariationModel.combined(),
+    "inter-only": VariationModel.inter_only(),
+    "intra-random-only": VariationModel.intra_random_only(),
+    "systematic-only": VariationModel(
+        sigma_vth_inter=0.0, sigma_vth_random=0.0, sigma_vth_systematic=0.012,
+        sigma_l_inter=0.0, sigma_l_systematic=0.01,
+    ),
+    "zero": VariationModel(
+        sigma_vth_inter=0.0, sigma_vth_random=0.0, sigma_vth_systematic=0.0,
+        sigma_l_inter=0.0, sigma_l_systematic=0.0,
+    ),
+}
+
+
+def wide_fanin_block(n_gates: int, seed: int, n_outputs: int = 3) -> Netlist:
+    """A random block plus NAND4 gates on gate drivers, pins repeating."""
+    block = random_block(n_gates, seed, n_outputs)
+    rng = np.random.default_rng(seed)
+    drivers = [f"g{index}" for index in range(n_gates)]
+    for index in range(max(1, n_gates // 4)):
+        name = f"w{index}"
+        pins = [drivers[i] for i in rng.integers(len(drivers), size=4)]
+        if index == 0:
+            pins[3] = pins[0]
+        block.add_gate(name, "NAND4", pins)
+        drivers.append(name)
+        if index % 3 == 0:
+            block.mark_primary_output(name)
+    block.auto_place()
+    return block
+
+
+def assert_bytes_equal(actual, expected) -> None:
+    for got, want in zip(actual, expected):
+        got, want = np.asarray(got), np.asarray(want)
+        assert (got.dtype, got.shape) == (want.dtype, want.shape)
+        assert got.tobytes() == want.tobytes()
+
+
+def assert_pass_matches_allocating(analyzer, netlist, sizes=None) -> None:
+    assert_bytes_equal(
+        analyzer.gate_delay_components(netlist, sizes),
+        allocating_gate_components(analyzer, netlist, sizes),
+    )
+    assert_bytes_equal(
+        analyzer.arrival_components(netlist, sizes),
+        allocating_arrival_components(analyzer, netlist, sizes),
+    )
+    form = analyzer.combinational_delay(netlist, sizes)
+    assert_bytes_equal(
+        (form.mean, form.sensitivities, form.sigma_random),
+        allocating_combinational_delay(analyzer, netlist, sizes),
+    )
+
+
+class TestInPlacePass:
+    """The in-place SSTA pass against the allocating one, bit for bit."""
+
+    @given(
+        st.integers(min_value=5, max_value=60),
+        st.integers(min_value=0, max_value=10**6),
+        st.sampled_from(sorted(VARIATION_REGIMES)),
+        st.booleans(),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_matches_allocating_pass(self, n_gates, seed, regime, sized):
+        block = wide_fanin_block(n_gates, seed)
+        fanins = block.timing_schedule().fanin_ptr
+        assert int(np.diff(fanins).max()) >= 4
+        analyzer = StatisticalTimingAnalyzer(default_technology(), VARIATION_REGIMES[regime])
+        sizes = None
+        if sized:
+            sizes = np.random.default_rng(seed).uniform(1.0, 4.0, block.n_gates)
+        assert_pass_matches_allocating(analyzer, block, sizes)
+
+    @pytest.mark.parametrize("regime", sorted(VARIATION_REGIMES))
+    def test_long_output_fold_matches(self, regime):
+        """Every gate an output: thousands of one-pair steps in the fold.
+
+        Enough scalar squarings that a libm ``pow`` in place of a square, or
+        the other way round, shows in the bits.
+        """
+        block = random_logic_block(
+            "wide", n_gates=3000, depth=12, n_inputs=16, n_outputs=3000, seed=3
+        )
+        analyzer = StatisticalTimingAnalyzer(default_technology(), VARIATION_REGIMES[regime])
+        assert_pass_matches_allocating(analyzer, block)
 
 
 class TestReferenceIndependence:
