@@ -1,6 +1,8 @@
 """Micro-benchmark: optimizer hot paths through the Design API.
 
-Times the statistical sizers on ISCAS stages and on a 20k-gate generated
+Times the statistical sizers on ISCAS stages (one target, and one
+four-point area--delay curve through ``characterize_stage``, which sizes
+every target in one ``size_targets`` call) and on a 20k-gate generated
 block, and the Design API's cached design flow (balanced baseline reuse
 across optimizers, per-(stage, sizer) area--delay curve reuse, memoized
 design reports), and writes the timings to
@@ -27,6 +29,8 @@ RESULTS_DIR = pathlib.Path(__file__).parent / "results"
 
 STAGE_YIELD = 0.95
 SPEEDUP = 0.85
+#: Targets per characterised curve (the Design API's default).
+CURVE_POINTS = 4
 
 #: The large generated block for the sizer timings.
 LARGE_GATES = 20_000
@@ -49,6 +53,7 @@ def run_benchmark() -> dict:
         VariationSpec,
     )
     from repro.circuit.iscas import iscas_benchmark
+    from repro.optimize.area_delay import characterize_stage
     from repro.optimize.sizers import make_sizer
     from repro.pipeline.stage import PipelineStage
     from repro.process.technology import default_technology
@@ -57,10 +62,16 @@ def run_benchmark() -> dict:
     technology = default_technology()
     variation = VariationModel.combined()
 
-    report: dict = {"stage_yield": STAGE_YIELD, "sizers": {}, "design_api": {}}
+    report: dict = {
+        "stage_yield": STAGE_YIELD,
+        "sizers": {},
+        "curves": {},
+        "design_api": {},
+    }
 
     # ------------------------------------------------------------------
-    # Raw sizer hot path: one statistical sizing run per (stage, sizer).
+    # Raw sizer hot path: one statistical sizing run per (stage, sizer),
+    # then one area-delay curve (all targets in one size_targets call).
     # ------------------------------------------------------------------
     for sizer_name, options in (
         ("lagrangian", {"max_outer": 30}),
@@ -68,6 +79,7 @@ def run_benchmark() -> dict:
     ):
         sizer = make_sizer(sizer_name, technology, variation, **options)
         stages = {}
+        curves = {}
         for benchmark_name in ("c432", "c1908"):
             stage = PipelineStage(benchmark_name, iscas_benchmark(benchmark_name))
             target = SPEEDUP * sizer.stage_distribution(stage).delay_at_yield(
@@ -82,7 +94,16 @@ def run_benchmark() -> dict:
                 "met_target": result.met_target,
                 "gates_per_second": stage.n_gates * result.iterations / max(seconds, 1e-9),
             }
+            seconds, curve = timed_seconds(
+                characterize_stage, stage, sizer, STAGE_YIELD, n_points=CURVE_POINTS
+            )
+            curves[benchmark_name] = {
+                "seconds": seconds,
+                "targets": CURVE_POINTS,
+                "frontier_points": len(curve.points),
+            }
         report["sizers"][sizer_name] = stages
+        report["curves"][sizer_name] = curves
 
     # ------------------------------------------------------------------
     # Both sizers on a 20k-gate generated block.

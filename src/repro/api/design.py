@@ -46,6 +46,7 @@ from repro.core.yield_model import stage_yield_budget
 from repro.optimize.balance import BalancedDesignResult
 from repro.optimize.global_opt import (
     GlobalPipelineOptimizer,
+    StageStatistics,
     pipeline_stage_statistics,
 )
 from repro.optimize.redistribute import redistribute_area
@@ -444,10 +445,19 @@ def check_design(design: DesignSpec) -> None:
 # Shared design-flow helpers
 # ----------------------------------------------------------------------
 def snapshot_pipeline(
-    sizer: StageSizer, pipeline: Pipeline, target_delay: float
+    sizer: StageSizer,
+    pipeline: Pipeline,
+    target_delay: float,
+    statistics: StageStatistics | None = None,
 ) -> DesignSnapshot:
-    """Snapshot a pipeline's areas and model yields at a target delay."""
-    distributions, correlations = pipeline_stage_statistics(sizer, pipeline)
+    """Snapshot a pipeline's areas and model yields at a target delay.
+
+    ``statistics`` is the pipeline's :func:`pipeline_stage_statistics` when
+    the caller already has it.
+    """
+    distributions, correlations = statistics or pipeline_stage_statistics(
+        sizer, pipeline
+    )
     model = PipelineDelayModel(distributions, correlations)
     return DesignSnapshot(
         stage_names=tuple(pipeline.stage_names),
@@ -464,14 +474,20 @@ def snapshot_pipeline(
 
 
 def derive_design_targets(
-    pipeline: Pipeline, sizer: StageSizer, design: DesignSpec
+    pipeline: Pipeline,
+    sizer: StageSizer,
+    design: DesignSpec,
+    statistics: StageStatistics | None,
 ) -> tuple[float | dict[str, float], float]:
     """Resolve a design spec's delay policy into concrete targets.
 
     Returns ``(target_delay, stage_yield_target)`` where ``target_delay``
     is a per-stage mapping under the ``"stage_relative"`` policy and a
-    single common target otherwise.  ``pipeline`` is only read (the
-    ``"sized"`` policy's probe runs use ``apply=False``).
+    single common target otherwise.  ``statistics`` is ``pipeline``'s
+    :func:`pipeline_stage_statistics` at its current sizes; only a spec
+    without an explicit ``delay_target`` reads it, so it may be ``None``
+    otherwise.  ``pipeline`` is only read (the ``"sized"`` policy's probe
+    runs use ``apply=False``).
     """
     stage_yield = (
         design.stage_yield
@@ -480,27 +496,22 @@ def derive_design_targets(
     )
     if design.delay_target is not None:
         return float(design.delay_target), stage_yield
+    distributions, _ = statistics
+    delays = [distribution.delay_at_yield(stage_yield) for distribution in distributions]
     if design.delay_policy == "stage_relative":
         targets = {
-            stage.name: design.delay_scale
-            * sizer.stage_distribution(stage).delay_at_yield(stage_yield)
-            for stage in pipeline.stages
+            stage.name: design.delay_scale * delay
+            for stage, delay in zip(pipeline.stages, delays)
         }
         return targets, stage_yield
     if design.delay_policy == "sized":
         achievable = []
-        for stage in pipeline.stages:
-            probe = design.delay_probe * sizer.stage_distribution(stage).delay_at_yield(
-                stage_yield
-            )
+        for stage, delay in zip(pipeline.stages, delays):
+            probe = design.delay_probe * delay
             result = sizer.size_stage(stage, probe, stage_yield, apply=False)
             achievable.append(result.stage_delay.delay_at_yield(stage_yield))
         reference = max(achievable)
     else:
-        delays = [
-            sizer.stage_distribution(stage).delay_at_yield(stage_yield)
-            for stage in pipeline.stages
-        ]
         reference = max(delays) if design.delay_policy == "stage_max" else min(delays)
     return design.delay_scale * reference, stage_yield
 
@@ -533,11 +544,18 @@ def _assemble_report(
     receiver_stages: tuple[str, ...] | None = None,
     validation_baseline: DelayReport | None = None,
     validation_cache_key: tuple | None = None,
+    statistics: StageStatistics | None = None,
 ) -> DesignReport:
-    """Build the common report from a designed pipeline + flow metadata."""
+    """Build the common report from a designed pipeline + flow metadata.
+
+    ``statistics`` is ``designed``'s :func:`pipeline_stage_statistics` when
+    the flow already has it.
+    """
     design = spec.design
     sizer = session.sizer(spec.variation, design)
-    distributions, correlations = pipeline_stage_statistics(sizer, designed)
+    distributions, correlations = statistics or pipeline_stage_statistics(
+        sizer, designed
+    )
     estimate = PipelineDelayModel(distributions, correlations).estimate()
     validation = (
         session.validate_design(spec, designed, cache_key=validation_cache_key)
@@ -591,7 +609,10 @@ class BalancedDesigner:
         target_delay = balanced.target_delay
         sizer = session.sizer(spec.variation, spec.design)
         baseline = snapshot_pipeline(
-            sizer, session.pipeline(spec.pipeline), target_delay
+            sizer,
+            session.pipeline(spec.pipeline),
+            target_delay,
+            statistics=balanced.input_statistics,
         )
         trace = tuple(
             SizingTrace.from_result(name, balanced.stage_results[name])
@@ -614,6 +635,7 @@ class BalancedDesigner:
             validation_cache_key=(
                 spec.pipeline, spec.variation, spec.design.balance_key(),
             ),
+            statistics=balanced.statistics,
         )
 
 
@@ -638,7 +660,9 @@ class RedistributeDesigner:
             fraction=design.fraction,
             mode=design.mode,
         )
-        baseline = snapshot_pipeline(sizer, balanced.pipeline, target_delay)
+        baseline = snapshot_pipeline(
+            sizer, balanced.pipeline, target_delay, statistics=balanced.statistics
+        )
         trace = tuple(
             SizingTrace.from_result(name, result.stage_results[name])
             for name in result.pipeline.stage_names
@@ -680,9 +704,15 @@ class GlobalDesigner:
             max_stage_yield=design.max_stage_yield,
         )
         result = optimizer.optimize(
-            balanced.pipeline, target_delay, design.yield_target, curves=curves
+            balanced.pipeline,
+            target_delay,
+            design.yield_target,
+            curves=curves,
+            statistics=balanced.statistics,
         )
-        baseline = snapshot_pipeline(sizer, balanced.pipeline, target_delay)
+        baseline = snapshot_pipeline(
+            sizer, balanced.pipeline, target_delay, statistics=balanced.statistics
+        )
         validation_baseline = (
             session.validate_design(
                 spec,

@@ -30,6 +30,7 @@ parallelism.
 
 from __future__ import annotations
 
+import dataclasses
 import threading
 import time
 from typing import TYPE_CHECKING
@@ -272,13 +273,16 @@ class Session:
         every optimizer starts from; it carries the resolved targets
         (``target_delay``, ``stage_yield_target``, and ``stage_targets``
         under the ``"stage_relative"`` policy) next to each stage's sizing
-        result.  Two design specs differing only in
+        result, and the SSTA stage statistics of the balanced pipeline (and
+        of the unsized one, when a derived delay target needed them), so no
+        optimizer computes them again.  Two design specs differing only in
         optimizer/redistribution/ordering knobs share one cached baseline,
         which is what lets optimizer-axis sweep points reuse the expensive
         sizing work.
         """
         from repro.api.design import derive_design_targets
         from repro.optimize.balance import design_balanced_pipeline
+        from repro.optimize.global_opt import pipeline_stage_statistics
 
         design = spec.design
         key = (spec.pipeline, spec.variation, design.balance_key())
@@ -287,13 +291,27 @@ class Session:
             self._count("cache_misses")
             base = self.pipeline_copy(spec.pipeline)
             sizer = self.sizer(spec.variation, design)
-            target_delay, stage_yield = derive_design_targets(base, sizer, design)
+            # Only a derived delay target reads the unsized pipeline's
+            # statistics; without them the balanced report computes its own.
+            input_statistics = (
+                pipeline_stage_statistics(sizer, base)
+                if design.delay_target is None
+                else None
+            )
+            target_delay, stage_yield = derive_design_targets(
+                base, sizer, design, input_statistics
+            )
             balanced = design_balanced_pipeline(
                 base,
                 sizer,
                 target_delay,
                 design.yield_target,
                 stage_yield_target=stage_yield,
+            )
+            balanced = dataclasses.replace(
+                balanced,
+                input_statistics=input_statistics,
+                statistics=pipeline_stage_statistics(sizer, balanced.pipeline),
             )
             self._balanced[key] = balanced
         else:

@@ -841,39 +841,55 @@ class Netlist:
         ----------
         sizes:
             Optional size vector to evaluate loads at (without mutating the
-            netlist); defaults to the current gate sizes.
+            netlist); defaults to the current gate sizes.  A ``(k, n_gates)``
+            array gives one row of loads per row of sizes, each the same
+            bits as that row's 1-D call.
         """
         sizes = self._sizes() if sizes is None else np.asarray(sizes, dtype=float)
         pin_caps = self._coefficients()["logical_effort"] * self.technology.c_unit * sizes
         schedule = self.timing_schedule()
+        # Gates with no fanout and not marked as outputs still drive something
+        # downstream in a real design; like the outputs they get the default
+        # load, so their delay is finite and size-sensitive.
+        loaded = self._is_po | (schedule.fanout_counts == 0)
+        sources, owners = schedule.fanin_idx, schedule.edge_owner
+        if pin_caps.ndim == 2:
+            # Rows run as one flat vector: row r's arcs are offset by
+            # r * n_gates, so each bin sums the same addends in the same
+            # order as that row's own call.
+            n_rows = pin_caps.shape[0]
+            offsets = schedule.n_gates * np.arange(n_rows)[:, None]
+            sources = (sources + offsets).ravel()
+            owners = (owners + offsets).ravel()
+            loaded = np.tile(loaded, n_rows)
         # Every fanin arc (source -> owner) contributes the owner's pin
         # capacitance to the source's load; one bincount sums them all.
         # (bincount returns int64 for an empty weighted input, so force the
         # dtype for edge-free netlists.)
         loads = np.bincount(
-            schedule.fanin_idx,
-            weights=pin_caps[schedule.edge_owner],
-            minlength=schedule.n_gates,
+            sources, weights=pin_caps.reshape(-1)[owners], minlength=pin_caps.size
         ).astype(float)
-        loads[self._is_po] += self.default_output_load
-        # Gates with no fanout and not marked as outputs still drive something
-        # downstream in a real design; give them the default load so their
-        # delay is finite and size-sensitive.
-        dangling = (schedule.fanout_counts == 0) & ~self._is_po
-        loads[dangling] += self.default_output_load
-        return loads
+        loads[loaded] += self.default_output_load
+        return loads.reshape(pin_caps.shape)
 
     # ------------------------------------------------------------------
     # Aggregate properties
     # ------------------------------------------------------------------
-    def total_area(self, sizes: np.ndarray | None = None) -> float:
-        """Total layout area in square micrometres."""
+    def total_area(self, sizes: np.ndarray | None = None) -> float | np.ndarray:
+        """Total layout area in square micrometres.
+
+        A ``(k, n_gates)`` array of sizes gives a ``(k,)`` array, one total
+        per row, each the same bits as that row's 1-D call.  The rows are
+        summed C-ordered: a row sum over a Fortran-ordered block takes a
+        different summation order.
+        """
         if sizes is None:
             sizes = self._sizes()
         area_factor = self._coefficients()["area_factor"]
-        return float(
-            (area_factor * self.technology.area_unit * np.asarray(sizes)).sum()
-        )
+        areas = (
+            area_factor * self.technology.area_unit * np.ascontiguousarray(sizes)
+        ).sum(axis=-1)
+        return float(areas) if areas.ndim == 0 else areas
 
     def logic_depth(self) -> int:
         """Maximum number of gates on any input-to-output path."""

@@ -131,11 +131,11 @@ def characterize_stage(
     Parameters
     ----------
     stage:
-        Stage to characterise (its netlist sizes are restored afterwards).
+        Stage to characterise (its netlist is only read).
     sizer:
-        Any :class:`~repro.optimize.sizers.StageSizer`: its ``size_stage``
-        sizes each target and its ``ssta`` engine and ``min_size`` give the
-        all-minimum-size endpoint.
+        Any :class:`~repro.optimize.sizers.StageSizer`: one ``size_targets``
+        call sizes every target, and its ``ssta`` engine and ``min_size``
+        give the all-minimum-size endpoint.
     target_yield:
         Stage yield at which every point's delay is evaluated.
     n_points:
@@ -151,47 +151,45 @@ def characterize_stage(
     if not 0.0 < low < high <= 1.0:
         raise ValueError(f"speedup_range must satisfy 0 < low < high <= 1, got {speedup_range}")
 
-    original_sizes = stage.netlist.sizes()
-    try:
-        # Endpoint: the all-minimum-size design, whose delay scales the
-        # targets of every other point.
-        sizes_min = np.full(stage.netlist.n_gates, sizer.min_size)
-        form = sizer.ssta.stage_delay(
-            stage.netlist, stage.flipflop, stage.register_position, sizes=sizes_min
+    # Endpoint: the all-minimum-size design, whose delay scales the targets
+    # of every other point.
+    sizes_min = np.full(stage.netlist.n_gates, sizer.min_size)
+    form = sizer.ssta.stage_delay(
+        stage.netlist, stage.flipflop, stage.register_position, sizes=sizes_min
+    )
+    max_delay = StageDelayDistribution.from_canonical(
+        form, name=stage.name
+    ).delay_at_yield(target_yield)
+    points = [
+        AreaDelayPoint(
+            target_delay=max_delay,
+            delay=max_delay,
+            mean=form.mean,
+            std=form.sigma,
+            area=stage.netlist.total_area(sizes_min),
+            sizes=sizes_min,
+            met_target=True,
         )
-        max_delay = StageDelayDistribution.from_canonical(
-            form, name=stage.name
-        ).delay_at_yield(target_yield)
-        points = [
-            AreaDelayPoint(
-                target_delay=max_delay,
-                delay=max_delay,
-                mean=form.mean,
-                std=form.sigma,
-                area=stage.netlist.total_area(sizes_min),
-                sizes=sizes_min,
-                met_target=True,
-            )
-        ]
+    ]
 
-        fractions = np.linspace(low, high, n_points, endpoint=False)
-        for fraction in fractions:
-            target = float(fraction * max_delay)
-            result = sizer.size_stage(stage, target, target_yield, apply=False)
-            achieved = result.stage_delay.delay_at_yield(target_yield)
-            points.append(
-                AreaDelayPoint(
-                    target_delay=target,
-                    delay=achieved,
-                    mean=result.stage_delay.mean,
-                    std=result.stage_delay.std,
-                    area=result.area,
-                    sizes=result.sizes,
-                    met_target=result.met_target,
-                )
+    targets = [
+        float(fraction * max_delay)
+        for fraction in np.linspace(low, high, n_points, endpoint=False)
+    ]
+    for target, result in zip(
+        targets, sizer.size_targets(stage, targets, target_yield)
+    ):
+        points.append(
+            AreaDelayPoint(
+                target_delay=target,
+                delay=result.stage_delay.delay_at_yield(target_yield),
+                mean=result.stage_delay.mean,
+                std=result.stage_delay.std,
+                area=result.area,
+                sizes=result.sizes,
+                met_target=result.met_target,
             )
-        return AreaDelayCurve(
-            stage_name=stage.name, target_yield=target_yield, points=tuple(points)
         )
-    finally:
-        stage.netlist.set_sizes(original_sizes)
+    return AreaDelayCurve(
+        stage_name=stage.name, target_yield=target_yield, points=tuple(points)
+    )

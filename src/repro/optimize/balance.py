@@ -10,8 +10,8 @@ and III and the "balanced" curve of Fig. 7.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Mapping
+from dataclasses import dataclass, field
+from typing import TYPE_CHECKING, Mapping
 
 import numpy as np
 
@@ -19,6 +19,9 @@ from repro.core.stage_delay import StageDelayDistribution
 from repro.core.yield_model import stage_yield_budget
 from repro.optimize.result import SizingResult
 from repro.pipeline.pipeline import Pipeline
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.optimize.global_opt import StageStatistics
 
 
 @dataclass(frozen=True)
@@ -28,6 +31,14 @@ class BalancedDesignResult:
     ``target_delay`` is the common stage target; when the flow was run with
     per-stage targets it is the loosest (largest) of them and
     ``stage_targets`` holds the individual values.
+
+    ``input_statistics`` and ``statistics`` are the SSTA stage statistics
+    (distributions and correlation matrix, as
+    :func:`~repro.optimize.global_opt.pipeline_stage_statistics` returns
+    them) of the pipeline the flow started from and of the designed one,
+    when the caller computed them.  The Design API session keeps them with
+    its cached baseline, so every optimizer reads them instead of running
+    SSTA on the same sizes again.
     """
 
     pipeline: Pipeline
@@ -36,6 +47,10 @@ class BalancedDesignResult:
     pipeline_yield_target: float
     stage_yield_target: float
     stage_targets: dict[str, float] | None = None
+    input_statistics: StageStatistics | None = field(
+        default=None, compare=False, repr=False
+    )
+    statistics: StageStatistics | None = field(default=None, compare=False, repr=False)
 
     @property
     def total_area(self) -> float:

@@ -10,18 +10,20 @@ evaluation of the stage, written here once:
 * :meth:`StageSizerBase.statistical_budget`, which turns the yield
   constraint ``mu + Phi^-1(Y) * sigma <= T_TARGET`` into the deterministic
   arrival budget the inner loop sizes against;
-* the closing evaluation that turns final sizes into a
+* the closing evaluation that turns each target's final sizes into a
   :class:`~repro.optimize.result.SizingResult`, and
   :meth:`StageSizerBase.stage_distribution`.
 
 Each subclass keeps its own explicit constructor, because the Design API
 binds a spec's ``sizer_options`` against that signature, and defines its own
-``size_stage``.
+``size_targets`` (the one sizing loop, over every target of a call) and
+``size_stage`` (its one-target call).
 """
 
 from __future__ import annotations
 
 import time
+from typing import Sequence
 
 import numpy as np
 from scipy.special import ndtri
@@ -32,7 +34,6 @@ from repro.pipeline.stage import PipelineStage
 from repro.process.technology import Technology
 from repro.process.variation import VariationModel
 from repro.timing.delay_model import GateDelayModel
-from repro.timing.sta import arrival_times
 from repro.timing.ssta import StatisticalTimingAnalyzer
 
 
@@ -106,59 +107,65 @@ class StageSizerBase:
             mask = np.ones(stage.netlist.n_gates, dtype=bool)
         return mask
 
+    @staticmethod
     def statistical_budget(
-        self,
-        stage: PipelineStage,
-        sizes: np.ndarray,
-        target_delay: float,
-        target_yield: float,
+        form, worst: float, target_delay: float, target_yield: float
     ) -> float:
         """Deterministic arrival budget implied by the statistical target.
 
-        The budget is the current nominal worst arrival shifted by however
-        much the full statistical stage delay (SSTA mean + k * sigma,
-        including sequential overhead and the mean shift of the max over
-        near-critical paths) misses or beats the target.  Re-evaluating it
-        as sizes change keeps the deterministic inner loop honest about the
-        statistical constraint it is standing in for.  A small guard band
-        keeps the final design from missing the statistical target by
-        round-off between the two views.  When the statistical margin alone
-        exceeds the target, no sizing can satisfy the constraint; the budget
-        is then a small positive ``0.05 * target_delay``, so the sizer
-        drives towards the fastest design.
+        ``form`` is the stage's SSTA form and ``worst`` its nominal worst
+        output arrival, both at the sizes being refined.  The budget is
+        ``worst`` shifted by however much the full statistical stage delay
+        (SSTA mean + k * sigma, including sequential overhead and the mean
+        shift of the max over near-critical paths) misses or beats the
+        target.  Re-evaluating it as sizes change keeps the deterministic
+        inner loop honest about the statistical constraint it is standing
+        in for.  A small guard band keeps the final design from missing the
+        statistical target by round-off between the two views.  When the
+        statistical margin alone exceeds the target, no sizing can satisfy
+        the constraint; the budget is then a small positive
+        ``0.05 * target_delay``, so the sizer drives towards the fastest
+        design.
         """
-        netlist = stage.netlist
-        form = self._stage_form(stage, sizes)
-        nominal = self.delay_model.nominal_delays(netlist, sizes)
-        worst = float(arrival_times(netlist, nominal)[self._output_mask(stage)].max())
         statistical_delay = form.mean + float(ndtri(target_yield)) * form.sigma
         guard = 0.004 * target_delay
         budget = worst + (target_delay - statistical_delay) - guard
         return budget if budget > 0.0 else 0.05 * target_delay
 
-    def _result(
+    def _checked_targets(
+        self, stage: PipelineStage, targets: Sequence[float], target_yield: float
+    ) -> list[float]:
+        """Validated targets of a ``size_targets`` call, as Python floats."""
+        targets = [float(target) for target in targets]
+        for target_delay in targets:
+            self._check_targets(stage, target_delay, target_yield)
+        return targets
+
+    def _results(
         self,
         stage: PipelineStage,
-        sizes: np.ndarray,
-        target_delay: float,
+        finals: list[np.ndarray],
+        targets: list[float],
         target_yield: float,
-        iterations: int,
-        apply: bool,
+        iterations: list[int],
         start_time: float,
-    ) -> SizingResult:
-        """Evaluate the final sizes and (when ``apply``) write them back."""
-        distribution = self._distribution(stage, sizes)
-        achieved_yield = distribution.yield_at(target_delay)
-        if apply:
-            stage.netlist.set_sizes(sizes)
-        return SizingResult(
-            sizes=sizes,
-            area=stage.netlist.total_area(sizes),
-            stage_delay=distribution,
-            target_delay=target_delay,
-            target_yield=target_yield,
-            achieved_yield=achieved_yield,
-            met_target=achieved_yield + 1e-9 >= target_yield,
-            iterations=iterations,
-            seconds=time.perf_counter() - start_time,
-        )
+    ) -> list[SizingResult]:
+        """Evaluate each target's final sizes into its result."""
+        results = []
+        for sizes, target_delay, used in zip(finals, targets, iterations):
+            distribution = self._distribution(stage, sizes)
+            achieved_yield = distribution.yield_at(target_delay)
+            results.append(
+                SizingResult(
+                    sizes=sizes,
+                    area=stage.netlist.total_area(sizes),
+                    stage_delay=distribution,
+                    target_delay=target_delay,
+                    target_yield=target_yield,
+                    achieved_yield=achieved_yield,
+                    met_target=achieved_yield + 1e-9 >= target_yield,
+                    iterations=used,
+                    seconds=time.perf_counter() - start_time,
+                )
+            )
+        return results

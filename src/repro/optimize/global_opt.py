@@ -40,9 +40,11 @@ from repro.optimize.result import SizingResult
 from repro.pipeline.pipeline import Pipeline
 
 
-def pipeline_stage_statistics(
-    sizer, pipeline: Pipeline
-) -> tuple[list[StageDelayDistribution], np.ndarray]:
+#: Stage delay distributions and their correlation matrix, in stage order.
+StageStatistics = tuple[list[StageDelayDistribution], np.ndarray]
+
+
+def pipeline_stage_statistics(sizer, pipeline: Pipeline) -> StageStatistics:
     """Stage delay distributions and their correlation matrix (SSTA).
 
     The canonical "full-pipeline statistics at current sizes" computation,
@@ -180,6 +182,7 @@ class GlobalPipelineOptimizer:
         target_delay: float,
         target_yield: float,
         curves: dict[str, AreaDelayCurve] | None = None,
+        statistics: StageStatistics | None = None,
     ) -> GlobalOptimizationResult:
         """Run the Fig. 9 flow on a copy of ``pipeline``.
 
@@ -195,6 +198,9 @@ class GlobalPipelineOptimizer:
             Pre-computed area-vs-delay curves keyed by stage name; computed
             here (step 1.a) at the equal-split stage yield ``Y ** (1/N)``
             if omitted.
+        statistics:
+            Pre-computed :func:`pipeline_stage_statistics` of ``pipeline``
+            for the first stage's budget search; computed here if omitted.
         """
         if target_delay <= 0.0:
             raise ValueError(f"target_delay must be positive, got {target_delay}")
@@ -224,9 +230,11 @@ class GlobalPipelineOptimizer:
         for _ in range(self.rounds):
             for stage_name in order:
                 stage_index = designed.stage_names.index(stage_name)
-                distributions, correlations = pipeline_stage_statistics(
+                # Until the first re-size, ``designed`` has the input's sizes.
+                distributions, correlations = statistics or pipeline_stage_statistics(
                     self.sizer, designed
                 )
+                statistics = None
                 required = self._required_stage_yield(
                     distributions,
                     correlations,

@@ -12,11 +12,17 @@ The statistical target handling is the shared
 constraint is converted to a deterministic combinational budget
 ``T_TARGET - mean(overhead) - k * sigma_stage`` and the sigma estimate is
 refreshed with SSTA every ``sigma_refresh`` accepted moves.
+
+A move depends on neither the target nor the yield; those only decide
+where a run stops.  Every run from all-minimum sizes is therefore a prefix
+of one move trajectory, and :meth:`GreedySizer.size_targets` walks it once
+for all of a call's targets, stopping each where its own run would.
 """
 
 from __future__ import annotations
 
 import time
+from typing import Sequence
 
 import numpy as np
 
@@ -26,7 +32,7 @@ from repro.optimize.result import SizingResult
 from repro.pipeline.stage import PipelineStage
 from repro.process.technology import Technology
 from repro.process.variation import VariationModel
-from repro.timing.sta import arrival_times, critical_path
+from repro.timing.sta import arrival_times, critical_path_positions
 
 
 class GreedySizer(StageSizerBase):
@@ -62,8 +68,30 @@ class GreedySizer(StageSizerBase):
         target_yield: float,
         apply: bool = True,
     ) -> SizingResult:
-        """Size one stage greedily for the statistical delay target."""
-        self._check_targets(stage, target_delay, target_yield)
+        """Size one stage greedily for the statistical delay target.
+
+        The one-target call of :meth:`size_targets`; ``apply`` writes the
+        final sizes back into the stage netlist.
+        """
+        (result,) = self.size_targets(stage, [target_delay], target_yield)
+        if apply:
+            stage.netlist.set_sizes(result.sizes)
+        return result
+
+    def size_targets(
+        self, stage: PipelineStage, targets: Sequence[float], target_yield: float
+    ) -> list[SizingResult]:
+        """Size one stage greedily for each delay target, from minimum sizes.
+
+        One move trajectory serves every target.  At move count ``m`` each
+        pending target stops, in this order, when ``m`` reaches
+        ``max_moves``, when the worst nominal arrival is within its budget,
+        or when no move improves the critical path.  Every
+        ``sigma_refresh`` moves (and at move 0) one SSTA form of the current
+        sizes refreshes every pending target's budget.  Result ``i`` is the
+        run a lone ``targets[i]`` would make; the netlist is not written.
+        """
+        targets = self._checked_targets(stage, targets, target_yield)
         start_time = time.perf_counter()
         netlist = stage.netlist
         n_gates = netlist.n_gates
@@ -71,7 +99,6 @@ class GreedySizer(StageSizerBase):
         coeffs = netlist.cell_coefficients()
         area_coeff = coeffs["area_factor"] * tech.area_unit
         input_cap_unit = coeffs["logical_effort"] * tech.c_unit
-        index_of = netlist.gate_index()
         # The compiled schedule is cached across the whole sizing run: size
         # moves do not touch netlist structure, so every arrival/critical-path
         # evaluation below reuses the same CSR arrays.
@@ -79,18 +106,34 @@ class GreedySizer(StageSizerBase):
         output_mask = self._output_mask(stage)
 
         sizes = np.full(n_gates, self.min_size)
-        budget = self.statistical_budget(stage, sizes, target_delay, target_yield)
+        budgets = [0.0] * len(targets)
+        finals: list[np.ndarray | None] = [None] * len(targets)
+        stopped_at = [0] * len(targets)
+        pending = list(range(len(targets)))
+
+        def stop(indices, moves):
+            for index in indices:
+                finals[index] = sizes.copy()
+                stopped_at[index] = moves
 
         moves = 0
-        while moves < self.max_moves:
+        while pending and moves < self.max_moves:
             nominal = self.delay_model.nominal_delays(netlist, sizes)
             arrivals = arrival_times(netlist, nominal)
-            if float(arrivals[output_mask].max()) <= budget:
+            worst = float(arrivals[output_mask].max())
+            if moves % self.sigma_refresh == 0:
+                form = self._stage_form(stage, sizes)
+                for index in pending:
+                    budgets[index] = self.statistical_budget(
+                        form, worst, targets[index], target_yield
+                    )
+            stop([index for index in pending if worst <= budgets[index]], moves)
+            pending = [index for index in pending if worst > budgets[index]]
+            if not pending:
                 break
 
-            path_names = critical_path(netlist, nominal, arrivals=arrivals)
             path_positions = np.array(
-                [index_of[name] for name in path_names], dtype=np.int64
+                critical_path_positions(netlist, arrivals), dtype=np.int64
             )
             loads = netlist.load_capacitances(sizes)
             on_path = np.zeros(n_gates, dtype=bool)
@@ -124,16 +167,13 @@ class GreedySizer(StageSizerBase):
             )
             best = int(np.argmax(ratio))
             if ratio[best] <= 0.0:
-                # No move improves the critical path; the target is infeasible
-                # within the size bounds.
+                # No move improves the critical path; the pending targets are
+                # infeasible within the size bounds.
                 break
             sizes[path_positions[best]] = proposed[best]
             moves += 1
-            if moves % self.sigma_refresh == 0:
-                budget = self.statistical_budget(
-                    stage, sizes, target_delay, target_yield
-                )
 
-        return self._result(
-            stage, sizes, target_delay, target_yield, moves, apply, start_time
+        stop(pending, moves)
+        return self._results(
+            stage, finals, targets, target_yield, stopped_at, start_time
         )

@@ -34,11 +34,17 @@ the deterministic target is tightened by the current ``k * sigma`` margin):
 
 The complexity per iteration is O(n) in the number of gates, matching the
 "iterative low-complexity algorithm" the paper relies on.
+
+The targets of one :meth:`LagrangianSizer.size_targets` call never interact,
+so they run as the rows of one ``(k, n_gates)`` state: every step above is
+one NumPy call over all the rows still iterating, and each row is the same
+bits as that target's own run (DESIGN.md, "One sizing call per curve").
 """
 
 from __future__ import annotations
 
 import time
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -98,14 +104,12 @@ class LagrangianSizer(StageSizerBase):
     # ------------------------------------------------------------------
     def _resize_sweep(
         self,
-        netlist,
+        plan: list[_LevelRows],
         sizes: np.ndarray,
         weights: np.ndarray,
-        area_coeff: np.ndarray,
-        input_cap_unit: np.ndarray,
         damping: float = 0.5,
-    ) -> np.ndarray:
-        """One Gauss-Seidel resize sweep in reverse level order.
+    ) -> None:
+        """One Gauss-Seidel resize sweep in reverse level order, in place.
 
         Each gate is resized with the closed-form optimum of its local
         Lagrangian subproblem, using already-updated fanout sizes for its
@@ -118,45 +122,40 @@ class LagrangianSizer(StageSizerBase):
         fanouts (strictly higher levels) are already updated and the fanins
         (strictly lower levels) are untouched, which is exactly the update
         order of the original reverse-topological per-gate loop.
+
+        ``sizes`` (updated in place) and ``weights`` are C-ordered
+        ``(k, n_gates)`` rows, read as one flat vector through the offset
+        indices of ``plan`` (:meth:`_LevelRows.first`); a row's segment sums
+        cover exactly its own entries.
         """
-        sizes = sizes.copy()
-        schedule = netlist.timing_schedule()
-        output_mask = netlist.output_mask()
-        pin_cap = input_cap_unit  # per-unit-size input capacitance of each gate
-        base_load = np.where(
-            output_mask | (schedule.fanout_counts == 0),
-            netlist.default_output_load,
-            0.0,
-        )
-        for level in range(schedule.n_levels - 1, -1, -1):
-            gates = schedule.level_gates[level]
-            loads = base_load[gates].copy()
-            driven = schedule.rev_level_gates[level]
-            if driven.shape[0]:
-                fanout_edges = schedule.rev_level_edges[level]
-                contributions = pin_cap[fanout_edges] * sizes[fanout_edges]
-                summed = np.add.reduceat(contributions, schedule.rev_level_seg[level])
-                loads[np.searchsorted(gates, driven)] += summed
-            if level == 0:
+        flat_sizes = sizes.reshape(-1)
+        flat_weights = weights.reshape(-1)
+        for level in plan:
+            gates = level.gates
+            loads = level.base_load.copy()
+            if level.fanout_edges is not None:
+                contributions = level.fanout_cap * flat_sizes[level.fanout_edges]
+                summed = np.add.reduceat(contributions, level.fanout_seg)
+                loads[level.driven] += summed
+            if level.fanin_edges is None:
                 pressure = np.zeros(gates.shape[0])
             else:
-                fanin_edges = schedule.level_edges[level]
                 pressure = np.add.reduceat(
-                    weights[fanin_edges] / sizes[fanin_edges],
-                    schedule.level_seg[level],
+                    flat_weights[level.fanin_edges] / flat_sizes[level.fanin_edges],
+                    level.fanin_seg,
                 )
-            denominator = area_coeff[gates] + pin_cap[gates] * pressure
-            numerator = weights[gates] * loads
+            denominator = level.area + level.pin_cap * pressure
+            numerator = flat_weights[gates] * loads
             valid = (numerator > 0.0) & (denominator > 0.0)
             safe_den = np.where(valid, denominator, 1.0)
             optimum = (numerator / safe_den) ** 0.5
-            blended = sizes[gates] ** (1.0 - damping) * optimum**damping
+            current = flat_sizes[gates]
+            blended = current ** (1.0 - damping) * optimum**damping
             updated = np.clip(blended, self.min_size, self.max_size)
-            sizes[gates] = np.where(valid, updated, sizes[gates])
-        return sizes
+            flat_sizes[gates] = np.where(valid, updated, current)
 
     # ------------------------------------------------------------------
-    # Main entry point
+    # Main entry points
     # ------------------------------------------------------------------
     def size_stage(
         self,
@@ -180,103 +179,226 @@ class LagrangianSizer(StageSizerBase):
         apply:
             Whether to write the final sizes back into the stage netlist.
 
-        Sizing starts from all-minimum sizes, which lets the sizer find the
-        smallest-area solution regardless of the stage's current sizing.
+        This is the one-target call of :meth:`size_targets`.  Sizing starts
+        from all-minimum sizes, which lets the sizer find the smallest-area
+        solution regardless of the stage's current sizing.
         """
-        self._check_targets(stage, target_delay, target_yield)
+        (result,) = self.size_targets(stage, [target_delay], target_yield)
+        if apply:
+            stage.netlist.set_sizes(result.sizes)
+        return result
+
+    def size_targets(
+        self, stage: PipelineStage, targets: Sequence[float], target_yield: float
+    ) -> list[SizingResult]:
+        """Size one stage for each delay target, from all-minimum sizes.
+
+        The targets run as the rows of one ``(k, n_gates)`` state.  Each row
+        keeps its own multipliers, global multiplier, budget, best and
+        fastest sizes, stability count and iteration count; a row that
+        converges leaves the active rows and the others carry on.  At outer
+        iteration 0 every row sits at minimum sizes, so one SSTA form gives
+        every row's first budget; each later refresh is the row's own SSTA
+        call.  Result ``i`` is the run a lone ``targets[i]`` would make; the
+        netlist is not written.
+        """
+        targets = self._checked_targets(stage, targets, target_yield)
+        if not targets:
+            return []
         start_time = time.perf_counter()
         netlist = stage.netlist
         n_gates = netlist.n_gates
+        n_targets = len(targets)
         tech = self.technology
         coeffs = netlist.cell_coefficients()
         area_coeff = coeffs["area_factor"] * tech.area_unit
         input_cap_unit = coeffs["logical_effort"] * tech.c_unit
         output_mask = self._output_mask(stage)
+        row_plan = _row_plan(netlist, area_coeff, input_cap_unit, n_targets)
+        plan = [level.first(n_targets) for level in row_plan]
 
-        sizes = np.full(n_gates, self.min_size)
-        # Initial statistical delay budget.
-        budget = self.statistical_budget(stage, sizes, target_delay, target_yield)
-
-        lam = np.ones(n_gates)
-        loads = netlist.load_capacitances(sizes)
+        minimum = np.full(n_gates, self.min_size)
+        loads = netlist.load_capacitances(minimum)
         scale = float(np.median(area_coeff)) / max(
             float(tech.r_unit * np.median(loads)), 1e-30
         )
-        global_multiplier = scale
 
-        best_area = np.inf
-        best_sizes: np.ndarray | None = None
-        fastest_arrival = np.inf
+        # Row state, one C-ordered row per target still iterating; ``rows``
+        # maps each active row to its target.
+        rows = np.arange(n_targets)
+        sizes = np.tile(minimum, (n_targets, 1))
+        lam = np.ones((n_targets, n_gates))
+        global_multiplier = np.full(n_targets, scale)
+        budget = np.empty(n_targets)
+        best_area = np.full(n_targets, np.inf)
+        best_sizes = np.empty((n_targets, n_gates))
+        has_best = np.zeros(n_targets, dtype=bool)
+        fastest_arrival = np.full(n_targets, np.inf)
         fastest_sizes = sizes.copy()
-        stable_iterations = 0
-        previous_area = netlist.total_area(sizes)
-        iterations_used = 0
+        stable_iterations = np.zeros(n_targets, dtype=np.int64)
+        previous_area = np.full(n_targets, netlist.total_area(minimum))
+        finals: list[np.ndarray | None] = [None] * n_targets
+        iterations = [self.max_outer] * n_targets
 
+        def finish(done: np.ndarray) -> None:
+            for row in np.flatnonzero(done).tolist():
+                # Prefer the smallest feasible design; if the target was never
+                # met, return the fastest design found (best effort) rather
+                # than whatever the last multiplier state produced.
+                final = best_sizes[row] if has_best[row] else fastest_sizes[row]
+                finals[rows[row]] = final.copy()
+
+        # Each iteration's resized delays and arrivals are the next one's.
+        nominal = self.delay_model.nominal_delays(netlist, sizes)
+        arrivals = arrival_times(netlist, nominal)
         for outer in range(self.max_outer):
-            iterations_used = outer + 1
-            nominal = self.delay_model.nominal_delays(netlist, sizes)
-            arrivals = arrival_times(netlist, nominal)
-            worst_arrival = float(arrivals[output_mask].max())
+            worst_arrival = arrivals[:, output_mask].max(axis=1)
 
-            if outer > 0 and outer % self.sigma_refresh == 0:
-                budget = self.statistical_budget(
-                    stage, sizes, target_delay, target_yield
+            if outer % self.sigma_refresh == 0:
+                # At outer iteration 0 every row sits at minimum sizes, so
+                # one form serves them all; later refreshes are per row.
+                forms = (
+                    [self._stage_form(stage, minimum)] * rows.shape[0]
+                    if outer == 0
+                    else [self._stage_form(stage, row_sizes) for row_sizes in sizes]
                 )
+                for row, form in enumerate(forms):
+                    budget[row] = self.statistical_budget(
+                        form, float(worst_arrival[row]), targets[rows[row]], target_yield
+                    )
 
             slack = required_times(netlist, nominal, budget) - arrivals
-            worst_slack = float(slack[output_mask].min())
+            worst_slack = slack[:, output_mask].min(axis=1)
 
             # Multiplier updates: per-gate criticality plus global scale.
-            temperature = max(self.temperature_fraction * budget, 1e-15)
-            update = np.exp(np.clip(-slack / temperature, -1.0, 1.0))
+            temperature = np.maximum(self.temperature_fraction * budget, 1e-15)
+            update = np.exp(np.clip(-slack / temperature[:, None], -1.0, 1.0))
             lam = np.clip(lam * update, 1e-9, 1e9)
-            lam *= n_gates / lam.sum()
-            if worst_arrival > budget:
-                global_multiplier *= 1.25
-            else:
-                global_multiplier *= 0.90
+            lam *= (n_gates / lam.sum(axis=1))[:, None]
+            global_multiplier *= np.where(worst_arrival > budget, 1.25, 0.90)
 
             # Closed-form resize sweeps (Gauss-Seidel, reverse topological).
-            weights = global_multiplier * lam * tech.r_unit
+            weights = global_multiplier[:, None] * lam * tech.r_unit
             for _ in range(self.sweeps_per_outer):
-                sizes = self._resize_sweep(
-                    netlist, sizes, weights, area_coeff, input_cap_unit
-                )
+                self._resize_sweep(plan, sizes, weights)
 
             # Track the best (smallest-area) solution that meets the budget
             # and the fastest solution seen, both evaluated at the freshly
             # resized design.
-            resized_delays = self.delay_model.nominal_delays(netlist, sizes)
-            resized_arrivals = arrival_times(netlist, resized_delays)
-            resized_worst = float(resized_arrivals[output_mask].max())
+            nominal = self.delay_model.nominal_delays(netlist, sizes)
+            arrivals = arrival_times(netlist, nominal)
+            resized_worst = arrivals[:, output_mask].max(axis=1)
             area_after = netlist.total_area(sizes)
-            if resized_worst <= budget and area_after < best_area:
-                best_area = area_after
-                best_sizes = sizes.copy()
-            if resized_worst < fastest_arrival:
-                fastest_arrival = resized_worst
-                fastest_sizes = sizes.copy()
+            better = (resized_worst <= budget) & (area_after < best_area)
+            best_area[better] = area_after[better]
+            best_sizes[better] = sizes[better]
+            has_best |= better
+            faster = resized_worst < fastest_arrival
+            fastest_arrival[faster] = resized_worst[faster]
+            fastest_sizes[faster] = sizes[faster]
 
             # Convergence: feasible and area no longer moving.
-            relative_change = abs(area_after - previous_area) / max(previous_area, 1e-30)
+            relative_change = np.abs(area_after - previous_area) / np.maximum(
+                previous_area, 1e-30
+            )
             previous_area = area_after
-            if worst_slack >= 0.0 and relative_change < 0.002:
-                stable_iterations += 1
-                if stable_iterations >= 3:
+            steady = (worst_slack >= 0.0) & (relative_change < 0.002)
+            stable_iterations = np.where(steady, stable_iterations + 1, 0)
+            done = stable_iterations >= 3
+            if done.any():
+                finish(done)
+                for row in rows[done].tolist():
+                    iterations[row] = outer + 1
+                keep = ~done
+                (rows, sizes, lam, global_multiplier, budget, best_area,
+                 best_sizes, has_best, fastest_arrival, fastest_sizes,
+                 stable_iterations, previous_area, nominal, arrivals) = (
+                    state[keep] for state in (
+                        rows, sizes, lam, global_multiplier, budget, best_area,
+                        best_sizes, has_best, fastest_arrival, fastest_sizes,
+                        stable_iterations, previous_area, nominal, arrivals,
+                    )
+                )
+                if not rows.shape[0]:
                     break
-            else:
-                stable_iterations = 0
+                plan = [level.first(rows.shape[0]) for level in row_plan]
 
-        # Prefer the smallest feasible design; if the target was never met,
-        # return the fastest design found (best effort) rather than whatever
-        # the last multiplier state produced.
-        final_sizes = best_sizes if best_sizes is not None else fastest_sizes
-        return self._result(
-            stage,
-            final_sizes,
-            target_delay,
-            target_yield,
-            iterations_used,
-            apply,
-            start_time,
+        finish(np.ones(rows.shape[0], dtype=bool))
+        return self._results(
+            stage, finals, targets, target_yield, iterations, start_time
         )
+
+
+class _LevelRows(NamedTuple):
+    """One level's resize-sweep indices and constants, one row per target.
+
+    Row ``r`` of an index array is the level's 1-D array offset by the
+    row's start in the flat vector (``r * n_gates`` for gate indices, the
+    row's first entry for ``reduceat`` segment starts); the per-gate
+    constants repeat unchanged.  ``fanout_edges`` is ``None`` when no gate
+    of the level drives another, ``fanin_edges`` at level 0.
+    """
+
+    gates: np.ndarray
+    base_load: np.ndarray
+    area: np.ndarray
+    pin_cap: np.ndarray
+    fanout_edges: np.ndarray | None
+    fanout_cap: np.ndarray
+    fanout_seg: np.ndarray
+    driven: np.ndarray
+    fanin_edges: np.ndarray | None
+    fanin_seg: np.ndarray | None
+
+    def first(self, n_rows: int) -> "_LevelRows":
+        """The first ``n_rows`` rows, each array flattened (a view)."""
+        return _LevelRows(
+            *(None if array is None else array[:n_rows].reshape(-1) for array in self)
+        )
+
+
+def _row_plan(
+    netlist, area_coeff: np.ndarray, pin_cap: np.ndarray, n_rows: int
+) -> tuple[_LevelRows, ...]:
+    """The resize sweep's per-level arrays for ``n_rows`` rows, deepest first."""
+    schedule = netlist.timing_schedule()
+    base_load = np.where(
+        netlist.output_mask() | (schedule.fanout_counts == 0),
+        netlist.default_output_load,
+        0.0,
+    )
+    starts = np.arange(n_rows)[:, None]
+
+    def offset(indices: np.ndarray, stride: int) -> np.ndarray:
+        return indices + stride * starts
+
+    def repeat(values: np.ndarray) -> np.ndarray:
+        return np.tile(values, (n_rows, 1))
+
+    plan = []
+    for level in range(schedule.n_levels - 1, -1, -1):
+        gates = schedule.level_gates[level]
+        driven = schedule.rev_level_gates[level]
+        fanout_edges = schedule.rev_level_edges[level]
+        fanin_edges = schedule.level_edges[level]
+        plan.append(
+            _LevelRows(
+                gates=offset(gates, schedule.n_gates),
+                base_load=repeat(base_load[gates]),
+                area=repeat(area_coeff[gates]),
+                pin_cap=repeat(pin_cap[gates]),
+                fanout_edges=(
+                    offset(fanout_edges, schedule.n_gates) if driven.shape[0] else None
+                ),
+                fanout_cap=repeat(pin_cap[fanout_edges]),
+                fanout_seg=offset(schedule.rev_level_seg[level], fanout_edges.shape[0]),
+                driven=offset(np.searchsorted(gates, driven), gates.shape[0]),
+                fanin_edges=offset(fanin_edges, schedule.n_gates) if level else None,
+                fanin_seg=(
+                    offset(schedule.level_seg[level], fanin_edges.shape[0])
+                    if level
+                    else None
+                ),
+            )
+        )
+    return tuple(plan)

@@ -18,7 +18,7 @@ keyword knobs (``max_outer``, ``max_moves``, ``min_size``...), so a frozen
 
 from __future__ import annotations
 
-from typing import Any, Callable, Protocol, runtime_checkable
+from typing import Any, Callable, Protocol, Sequence, runtime_checkable
 
 from repro.core.stage_delay import StageDelayDistribution
 from repro.optimize.greedy import GreedySizer
@@ -33,14 +33,14 @@ from repro.process.variation import VariationModel
 class StageSizer(Protocol):
     """Anything that can size one pipeline stage for a statistical target.
 
-    The two methods are exactly the surface the design flows consume:
     :func:`~repro.optimize.balance.design_balanced_pipeline`,
-    :class:`~repro.optimize.global_opt.GlobalPipelineOptimizer` and
-    :func:`~repro.optimize.area_delay.characterize_stage` call
-    ``size_stage``, and the target-delay policies of the Design API use
-    ``stage_distribution``.  ``ssta`` exposes the sizer's embedded
-    statistical timing engine, which the pipeline-level flows reuse for
-    full-pipeline statistics and ``characterize_stage`` for the
+    :class:`~repro.optimize.global_opt.GlobalPipelineOptimizer` and the
+    ``"sized"`` delay policy of the Design API call ``size_stage``;
+    :func:`~repro.optimize.area_delay.characterize_stage` calls
+    ``size_targets`` once per curve.  ``stage_distribution`` gives a stage's
+    delay distribution at its current sizes.  ``ssta`` exposes the sizer's
+    embedded statistical timing engine, which the pipeline-level flows
+    reuse for full-pipeline statistics and ``characterize_stage`` for the
     all-``min_size`` endpoint of a curve.
     """
 
@@ -55,6 +55,17 @@ class StageSizer(Protocol):
         apply: bool = True,
     ) -> SizingResult:
         """Size ``stage`` for minimum area under the statistical target."""
+        ...  # pragma: no cover - protocol signature
+
+    def size_targets(
+        self, stage: PipelineStage, targets: Sequence[float], target_yield: float
+    ) -> list[SizingResult]:
+        """Size ``stage`` from all-minimum sizes for each delay target.
+
+        Never writes the netlist.  Result ``i`` must equal
+        ``size_stage(stage, targets[i], target_yield, apply=False)``;
+        targets may be unsorted and may repeat.
+        """
         ...  # pragma: no cover - protocol signature
 
     def stage_distribution(self, stage: PipelineStage) -> StageDelayDistribution:

@@ -58,7 +58,9 @@ class GateDelayModel:
         netlist:
             The netlist to evaluate.
         sizes:
-            Optional size vector to evaluate at without mutating the netlist.
+            Optional size vector to evaluate at without mutating the netlist,
+            or a ``(k, n_gates)`` array of size rows; each row of the result
+            is the same bits as that row's 1-D call.
         """
         tech = self.technology
         if sizes is None:

@@ -32,6 +32,7 @@ paper's pipeline model needs.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -152,6 +153,38 @@ def _take_rows(sources: tuple, rows: np.ndarray, into: tuple) -> tuple:
     )
 
 
+@functools.lru_cache(maxsize=16)
+def _cell_table(
+    grid_size: int, correlation_length: float, variance_coverage: float
+) -> np.ndarray:
+    """Read-only cell table of a spatial factor basis, shared per process.
+
+    One C-ordered row per grid cell: two zero inter-die columns, then the
+    principal-component loadings of the grid's correlated field (``loadings
+    @ Z`` is the cell field for independent standard-normal ``Z``), largest
+    component first, as many as ``variance_coverage`` of its variance needs.
+    Every analyzer with the same basis shares it: the eigendecomposition of
+    the 64 x 64 default grid takes tens of milliseconds under a
+    multi-threaded BLAS.
+    """
+    corr = SpatialCorrelationModel(grid_size, correlation_length).correlation_matrix()
+    eigenvalues, eigenvectors = np.linalg.eigh(corr)
+    # eigh returns ascending order; take components from largest down.
+    order = np.argsort(eigenvalues)[::-1]
+    eigenvalues = np.clip(eigenvalues[order], 0.0, None)
+    eigenvectors = eigenvectors[:, order]
+    total = eigenvalues.sum()
+    n_keep = 0
+    if total > 0.0:
+        cumulative = np.cumsum(eigenvalues) / total
+        n_keep = int(np.searchsorted(cumulative, variance_coverage) + 1)
+        n_keep = min(n_keep, len(eigenvalues))
+    table = np.zeros((corr.shape[0], 2 + n_keep))
+    table[:, 2:] = eigenvectors[:, :n_keep] * np.sqrt(eigenvalues[:n_keep])[None, :]
+    table.flags.writeable = False
+    return table
+
+
 class StatisticalTimingAnalyzer:
     """Canonical-form SSTA engine over a shared global factor basis.
 
@@ -186,39 +219,18 @@ class StatisticalTimingAnalyzer:
         self.spatial = SpatialCorrelationModel(
             grid_size=grid_size, correlation_length=variation.correlation_length
         )
-        loadings = self._build_spatial_loadings(variance_coverage)
-        # Factor basis: [vth_inter, l_inter, spatial components...]
-        self.n_factors = 2 + loadings.shape[1]
         # The cell table: one full-width, C-ordered sensitivity row per grid
         # cell, zero in the inter-die columns, so gate rows gather whole.
-        self._cell_rows = np.zeros((self.spatial.n_cells, self.n_factors))
-        self._cell_rows[:, 2:] = loadings
-
-    # ------------------------------------------------------------------
-    # Factor basis construction
-    # ------------------------------------------------------------------
-    def _build_spatial_loadings(self, variance_coverage: float) -> np.ndarray:
-        """Principal-component loadings of the spatial grid field.
-
-        Returns an array of shape ``(n_cells, n_components)`` such that the
-        correlated cell field equals ``loadings @ Z`` for independent
-        standard-normal ``Z``.
-        """
-        if not self.variation.has_intra_systematic:
-            return np.zeros((self.spatial.n_cells, 0))
-        corr = self.spatial.correlation_matrix()
-        eigenvalues, eigenvectors = np.linalg.eigh(corr)
-        # eigh returns ascending order; take components from largest down.
-        order = np.argsort(eigenvalues)[::-1]
-        eigenvalues = np.clip(eigenvalues[order], 0.0, None)
-        eigenvectors = eigenvectors[:, order]
-        total = eigenvalues.sum()
-        if total <= 0.0:
-            return np.zeros((self.spatial.n_cells, 0))
-        cumulative = np.cumsum(eigenvalues) / total
-        n_keep = int(np.searchsorted(cumulative, variance_coverage) + 1)
-        n_keep = min(n_keep, len(eigenvalues))
-        return eigenvectors[:, :n_keep] * np.sqrt(eigenvalues[:n_keep])[None, :]
+        if variation.has_intra_systematic:
+            self._cell_rows = _cell_table(
+                self.spatial.grid_size,
+                self.spatial.correlation_length,
+                float(variance_coverage),
+            )
+        else:
+            self._cell_rows = np.zeros((self.spatial.n_cells, 2))
+        # Factor basis: [vth_inter, l_inter, spatial components...]
+        self.n_factors = self._cell_rows.shape[1]
 
     # ------------------------------------------------------------------
     # Gate delay forms

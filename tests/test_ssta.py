@@ -115,6 +115,56 @@ class TestAnalyzerChain:
             StatisticalTimingAnalyzer(technology, variation_combined, variance_coverage=0.0)
 
 
+def fresh_spatial_loadings(analyzer, variance_coverage):
+    """The spatial loadings computed afresh, as each analyzer once did."""
+    corr = analyzer.spatial.correlation_matrix()
+    eigenvalues, eigenvectors = np.linalg.eigh(corr)
+    order = np.argsort(eigenvalues)[::-1]
+    eigenvalues = np.clip(eigenvalues[order], 0.0, None)
+    eigenvectors = eigenvectors[:, order]
+    cumulative = np.cumsum(eigenvalues) / eigenvalues.sum()
+    n_keep = min(int(np.searchsorted(cumulative, variance_coverage) + 1), len(eigenvalues))
+    return eigenvectors[:, :n_keep] * np.sqrt(eigenvalues[:n_keep])[None, :]
+
+
+class TestFactorBasisCache:
+    @pytest.mark.parametrize("grid_size, coverage", [(8, 0.995), (5, 1.0), (8, 0.9)])
+    def test_analyzers_share_one_read_only_basis(
+        self, technology, variation_combined, grid_size, coverage
+    ):
+        first = StatisticalTimingAnalyzer(
+            technology, variation_combined, grid_size=grid_size, variance_coverage=coverage
+        )
+        second = StatisticalTimingAnalyzer(
+            technology, variation_combined, grid_size=grid_size, variance_coverage=coverage
+        )
+        table = first._cell_rows
+        assert second._cell_rows is table
+        assert table.flags.c_contiguous and not table.flags.writeable
+        with pytest.raises(ValueError):
+            table[0, 2] = 1.0
+        loadings = fresh_spatial_loadings(first, coverage)
+        assert table.shape == (grid_size * grid_size, 2 + loadings.shape[1])
+        assert first.n_factors == table.shape[1]
+        assert not table[:, :2].any()
+        assert np.ascontiguousarray(table[:, 2:]).tobytes() == loadings.tobytes()
+
+    def test_bases_differ_by_key(self, technology, variation_combined):
+        default = StatisticalTimingAnalyzer(technology, variation_combined)
+        coarser = StatisticalTimingAnalyzer(technology, variation_combined, grid_size=4)
+        looser = StatisticalTimingAnalyzer(
+            technology, variation_combined, variance_coverage=0.9
+        )
+        longer = StatisticalTimingAnalyzer(
+            technology, VariationModel.combined(correlation_length=2.0)
+        )
+        tables = [a._cell_rows for a in (default, coarser, looser, longer)]
+        assert len({id(table) for table in tables}) == 4
+        assert longer._cell_rows.shape != default._cell_rows.shape or not np.array_equal(
+            longer._cell_rows, default._cell_rows
+        )
+
+
 class TestAgainstMonteCarlo:
     @pytest.mark.parametrize(
         "variation",

@@ -122,6 +122,13 @@ class TestRequiredAndSlack:
         assert slack.min() == pytest.approx(-1.0)
 
     def test_required_rejects_batched_delays(self):
+        # (k, n_gates) rows are one target per row (see test_sizers); a 3-D
+        # stack of them, or a target count that is not the row count, is
+        # rejected.
         netlist = build_two_path_block()
         with pytest.raises(ValueError):
-            required_times(netlist, np.ones((2, netlist.n_gates)), target=1.0)
+            required_times(netlist, np.ones((2, 2, netlist.n_gates)), target=1.0)
+        with pytest.raises(ValueError):
+            required_times(
+                netlist, np.ones((2, netlist.n_gates)), target=np.ones(3)
+            )
