@@ -1,11 +1,14 @@
-"""Resilience benchmark: robust-executor overhead and kill-recovery latency.
+"""Resilience benchmark: robust-executor overhead, kill recovery, checkpoint I/O.
 
 Measures what the fault-tolerant sweep path (``repro.robust``) costs when
 nothing goes wrong -- the retry/timeout/trace bookkeeping wrapped around a
 clean 200-point sweep, serial and parallel -- and what it buys when
 something does: the wall-clock penalty of losing a worker process mid-sweep
 (kill fault -> ``BrokenProcessPool`` -> pool respawn -> retry) versus the
-same sweep undisturbed.  Results go to
+same sweep undisturbed.  The ``checkpoint`` section times the checkpoint
+store on one 20,000-sample Monte-Carlo report and one design report with
+200-sample validations: bytes per entry, ``put`` and ``get``, and a resume
+pass over 12 stored points.  Results go to
 ``benchmarks/results/perf_resilience.json`` so future PRs can track the
 overhead trajectory.
 
@@ -23,6 +26,7 @@ from __future__ import annotations
 import functools
 import json
 import pathlib
+import tempfile
 
 from bench_utils import best_of_seconds, timed_seconds
 
@@ -38,6 +42,7 @@ CLEAN_AXES = {
 N_SAMPLES = 120
 RECOVERY_POINTS = 8
 N_JOBS = 2
+CHECKPOINT_POINTS = 12
 
 
 def _base_spec():
@@ -108,6 +113,58 @@ def _robust_parallel(tasks, policy, fault_plan=None):
     )
 
 
+def _checkpoint_specs():
+    """(name, base spec, seed axis): the two report shapes the store holds."""
+    from repro.api import (
+        AnalysisSpec, DesignStudySpec, PipelineSpec, StudySpec, VariationSpec,
+    )
+
+    montecarlo = StudySpec(
+        pipeline=PipelineSpec(n_stages=4, logic_depth=8),
+        variation=VariationSpec.combined(),
+        analysis=AnalysisSpec(backend="montecarlo", n_samples=20_000, seed=1),
+    )
+    design = DesignStudySpec(
+        pipeline=PipelineSpec(n_stages=3),
+        validation=AnalysisSpec(n_samples=200, seed=1),
+    )
+    return [
+        ("montecarlo_20k", montecarlo, "analysis.seed"),
+        ("design_200", design, "validation.seed"),
+    ]
+
+
+def _checkpoint_io(workdir: pathlib.Path) -> dict:
+    """Entry size, ``put``/``get`` and one resume pass per report shape."""
+    from repro.api import ExecutionPolicy, Session, run_sweep
+    from repro.robust import CheckpointStore
+
+    section: dict = {"n_points": CHECKPOINT_POINTS}
+    for name, base, seed_axis in _checkpoint_specs():
+        root = workdir / name
+        axes = {seed_axis: list(range(1, CHECKPOINT_POINTS + 1))}
+        policy = ExecutionPolicy(checkpoint_dir=str(root))
+        cold = run_sweep(base, axes, session=Session(), policy=policy)
+        assert cold.trace.checkpoint_writes == CHECKPOINT_POINTS, cold.trace
+        point = cold.points[0]
+        store = CheckpointStore(workdir / f"{name}-single")
+        t_put, digest = best_of_seconds(5, store.put, point.spec, point.report)
+        t_get, loaded = best_of_seconds(5, store.get, point.spec)
+        assert loaded == point.report
+        t_resume, resumed = best_of_seconds(
+            3, run_sweep, base, axes, session=Session(), policy=policy
+        )
+        assert resumed.trace.checkpoint_hits == CHECKPOINT_POINTS, resumed.trace
+        assert resumed.reports() == cold.reports()
+        section[name] = {
+            "entry_bytes": store.path_for(digest).stat().st_size,
+            "put_s": t_put,
+            "get_s": t_get,
+            "resume_pass_s": t_resume,
+        }
+    return section
+
+
 @functools.lru_cache(maxsize=1)
 def run_benchmark() -> dict:
     from repro.robust import ExecutionPolicy, FaultPlan, FaultSpec
@@ -173,6 +230,10 @@ def run_benchmark() -> dict:
         "n_retries": trace.n_retries,
         "n_failures": len(faulted_failures),
     }
+
+    # -- checkpoint store I/O ------------------------------------------
+    with tempfile.TemporaryDirectory() as workdir:
+        report["checkpoint"] = _checkpoint_io(pathlib.Path(workdir))
 
     RESULTS_DIR.mkdir(parents=True, exist_ok=True)
     out = RESULTS_DIR / "perf_resilience.json"

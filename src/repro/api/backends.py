@@ -221,6 +221,13 @@ class DelayReport:
 
     # -- serialisation --------------------------------------------------
     def to_dict(self, include_samples: bool = True) -> dict[str, Any]:
+        """JSON-safe view; ``samples`` is the hex of their little-endian float64 bytes.
+
+        Hex is exact (every bit of every sample, NaN payloads and ``-0.0``
+        included) and far cheaper to encode and parse than a list of
+        decimals; DESIGN.md "Samples on disk and on the wire" has the
+        numbers.
+        """
         data: dict[str, Any] = {
             "backend": self.backend,
             "stage_names": list(self.stage_names),
@@ -230,7 +237,7 @@ class DelayReport:
             "pipeline_mean": self.pipeline_mean,
             "pipeline_std": self.pipeline_std,
             "jensen_lower_bound": self.jensen_lower_bound,
-            "samples": self.samples.tolist()
+            "samples": np.ascontiguousarray(self.samples, dtype="<f8").tobytes().hex()
             if include_samples and self.samples is not None
             else None,
         }
@@ -238,11 +245,19 @@ class DelayReport:
 
     @classmethod
     def from_dict(cls, data: Mapping[str, Any]) -> "DelayReport":
+        """Inverse of :meth:`to_dict`.
+
+        ``samples`` may also be a list of numbers, the form stores and
+        responses written before the hex encoding hold.
+        """
         known = {f.name for f in fields(cls)}
         unknown = set(data) - known
         if unknown:
             raise ValueError(f"unknown DelayReport field(s): {sorted(unknown)}")
-        return cls(**dict(data))
+        data = dict(data)
+        if isinstance(data.get("samples"), str):
+            data["samples"] = np.frombuffer(bytes.fromhex(data["samples"]), dtype="<f8")
+        return cls(**data)
 
     def to_json(self, indent: int | None = None, include_samples: bool = True) -> str:
         return json.dumps(self.to_dict(include_samples=include_samples), indent=indent)

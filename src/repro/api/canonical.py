@@ -11,7 +11,8 @@ determine the computation, and its SHA-256 digest:
   as ``name`` and the yield/quantile query targets are excluded);
 * :func:`canonical_spec_json` -- that payload as key-sorted, separator-
   normalised JSON text (the byte string that gets hashed);
-* :func:`spec_digest` -- the SHA-256 content address.
+* :func:`spec_digest` -- the SHA-256 content address
+  (:func:`payload_digest` hashes a payload already built).
 
 The digest is used as **both** the on-disk checkpoint key
 (:class:`~repro.robust.checkpoint.CheckpointStore`) and the in-flight
@@ -87,6 +88,11 @@ def spec_store_payload(spec: "AnySpec") -> dict[str, Any]:
     )
 
 
+def _canonical_text(payload: Mapping[str, Any]) -> str:
+    """Key-sorted, whitespace-free JSON: the one place the hashed text is written."""
+    return json.dumps(payload, sort_keys=True, separators=(",", ":"))
+
+
 def canonical_spec_json(spec: "AnySpec") -> str:
     """The canonical JSON text of a spec (key-sorted, no whitespace).
 
@@ -94,12 +100,22 @@ def canonical_spec_json(spec: "AnySpec") -> str:
     on-disk compatibility contract shared by the checkpoint store and the
     serving layer.
     """
-    return json.dumps(spec_store_payload(spec), sort_keys=True, separators=(",", ":"))
+    return _canonical_text(spec_store_payload(spec))
+
+
+def payload_digest(payload: Mapping[str, Any]) -> str:
+    """SHA-256 content address of a :func:`spec_store_payload` result.
+
+    For a caller that already holds the payload (the checkpoint store
+    reads its ``kind`` and writes it beside the report), so the payload is
+    built once.
+    """
+    return hashlib.sha256(_canonical_text(payload).encode("utf-8")).hexdigest()
 
 
 def spec_digest(spec: "AnySpec") -> str:
     """SHA-256 content address of a spec's canonical JSON."""
-    return hashlib.sha256(canonical_spec_json(spec).encode("utf-8")).hexdigest()
+    return payload_digest(spec_store_payload(spec))
 
 
 def resolved_store_spec(spec: "AnySpec", session: "Session") -> "AnySpec":

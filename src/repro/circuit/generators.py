@@ -125,6 +125,8 @@ def random_logic_block(
     cell_weights /= cell_weights.sum()
     lib = netlist.library
 
+    # Extra fanins come from the last ``window`` gates and inputs (or all).
+    window = 4 * max(1, int(level_sizes.max()))
     previous_level: list[str] = []
     all_earlier: list[str] = list(netlist.primary_inputs)
     gate_counter = 0
@@ -146,14 +148,20 @@ def random_logic_block(
                 if rng.random() < 0.15 or not all_earlier:
                     pool = netlist.primary_inputs
                 else:
-                    window = min(len(all_earlier), 4 * max(1, int(level_sizes.max())))
                     pool = all_earlier[-window:]
                 candidate = pool[int(rng.integers(len(pool)))]
                 if candidate not in fanins:
                     fanins.append(candidate)
-                elif len(pool) == 1:
-                    # Only one possible driver; accept the duplicate pin
-                    # rather than loop forever on a tiny block.
+                elif len(pool) == 1 or all(
+                    len(names) > 1 and set(names) <= set(fanins)
+                    for names in (netlist.primary_inputs, all_earlier[-window:])
+                ):
+                    # Only one candidate, or every name either pool holds
+                    # is already a fanin (level 1 with two primary inputs
+                    # and a three-input cell): accept the duplicate pin
+                    # rather than loop forever on a tiny block.  A one-name
+                    # pool is left to the first case, so a loop that can
+                    # still leave by drawing it keeps its draws.
                     fanins.append(candidate)
             gate_name = f"g{gate_counter}"
             gate_counter += 1

@@ -21,7 +21,10 @@ report JSON on disk*:
 
 Layout on disk: ``<root>/<digest[:2]>/<digest>.json``, each file holding
 ``{"kind", "spec", "report"}`` (the spec payload is stored for audit and
-for :meth:`CheckpointStore.entries`).
+for :meth:`CheckpointStore.entries`).  A report's Monte-Carlo samples are
+the hex of their little-endian float64 bytes
+(:meth:`~repro.api.backends.DelayReport.to_dict`); entries written with
+the samples as a list of numbers still read.
 
 This store is the seed of ROADMAP item 5 (persistent result store +
 resumable distributed sweeps): :class:`~repro.api.session.Session` accepts
@@ -47,6 +50,7 @@ from typing import TYPE_CHECKING, Iterator, Union
 # this module's public API (and the on-disk format they define predates the
 # move -- the regression test in tests/test_canonical.py pins the digests).
 from repro.api.canonical import (  # noqa: F401  (re-exports)
+    payload_digest,
     resolved_store_spec,
     spec_digest,
     spec_store_payload,
@@ -103,13 +107,13 @@ class CheckpointStore:
         from repro.api.design import DesignReport
 
         expected = spec_store_payload(spec)
-        path = self.path_for(self.digest(spec))
+        path = self.path_for(payload_digest(expected))
         try:
             payload = json.loads(path.read_text())
-            if payload.get("kind") != expected["kind"]:
+            kind = payload.get("kind") if isinstance(payload, dict) else None
+            if kind != expected["kind"]:
                 raise ValueError(
-                    f"checkpoint kind {payload.get('kind')!r} does not match "
-                    f"spec kind {expected['kind']!r}"
+                    f"checkpoint kind {kind!r} does not match spec kind {expected['kind']!r}"
                 )
             loader = (
                 DesignReport.from_dict
@@ -117,9 +121,11 @@ class CheckpointStore:
                 else DelayReport.from_dict
             )
             report = loader(payload["report"])
-        except (OSError, ValueError, KeyError, TypeError):
+        except (OSError, ValueError, KeyError, TypeError, OverflowError):
             # Missing, torn, corrupt or mismatched entries are misses, never
             # crashes: the point simply recomputes (and rewrites the entry).
+            # ``OverflowError`` is an integer literal beyond float range in
+            # a numeric field.
             with self._counter_lock:
                 self.misses += 1
             return None
@@ -129,18 +135,19 @@ class CheckpointStore:
 
     def put(self, spec: "AnySpec", report: "AnyReport") -> str:
         """Persist ``report`` under ``spec``'s digest (atomic); returns it."""
-        digest = self.digest(spec)
+        spec_payload = spec_store_payload(spec)
+        digest = payload_digest(spec_payload)
         path = self.path_for(digest)
         path.parent.mkdir(parents=True, exist_ok=True)
-        payload = {
-            "kind": spec_store_payload(spec)["kind"],
-            "spec": spec_store_payload(spec),
-            "report": report.to_dict(),
-        }
+        # ``json.dumps`` runs the C encoder; ``json.dump`` to a stream runs
+        # the pure-Python chunk encoder.
+        text = json.dumps(
+            {"kind": spec_payload["kind"], "spec": spec_payload, "report": report.to_dict()}
+        )
         handle, tmp_name = self._open_tmp(path.parent, digest)
         try:
             with os.fdopen(handle, "w") as stream:
-                json.dump(payload, stream)
+                stream.write(text)
             try:
                 os.replace(tmp_name, path)
             except OSError:

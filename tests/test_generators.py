@@ -1,5 +1,11 @@
 """Tests for repro.circuit.generators."""
 
+import hashlib
+import os
+import pathlib
+import subprocess
+import sys
+
 import pytest
 
 from repro.circuit.generators import (
@@ -8,6 +14,28 @@ from repro.circuit.generators import (
     inverter_chain,
     random_logic_block,
 )
+from repro.circuit.ingest import write_bench
+
+SRC = pathlib.Path(__file__).resolve().parents[1] / "src"
+
+#: ``write_bench`` SHA-256 of ``random_logic_block("b", n_gates, depth,
+#: n_inputs, n_outputs=1, seed)``, recorded before the two-input fix.  The
+#: fix only changes draws that never returned, so these stay put.
+#: (n_inputs, depth, n_gates, seed, sha256)
+PINNED_BLOCKS = [
+    (1, 3, 20, 1, "7cf7541c5b5e2200b5c86f88a5176a45a52bfbe348a50f0b00d5d618b1cf1878"),
+    (1, 6, 60, 7, "2728aa6b959a4add7c1b0c68ebddbd5fbffbccc2b733ab712bdf9996c36020e8"),
+    (1, 2, 6, 4, "b0deee6fb618db14f18eecffadb6ae718b250196fdb96177327747f979a802c9"),
+    (2, 3, 20, 5, "2cb94d8c0b7d9b26264ef7906f0fe12014ee63740ae11b7b7edebac389463afe"),
+    (2, 6, 60, 6, "1d428f311f4eec3dcdc8d83d5c3800a8fc77725cf04fb7b7fa1345b8a9d445f6"),
+    (2, 2, 20, 11, "e85153cd52f6a4ef43f76a5377d07f531ebfb19542560994d9250e52b213ddb0"),
+    (3, 3, 20, 1, "bf624e3747cf53fbd8b4349e40e51c0230ee60a28f33341fd80c5f258d2309a3"),
+    (3, 6, 60, 7, "0bba8d5c0c81ada382f3fd5fdc0e2de64dbac01b065069f068e9529d1395d09e"),
+    (3, 2, 6, 4, "2a9c719845053e59290ba56e931ec812f5145cdf2e293b3be64224a520634e5f"),
+    (5, 3, 20, 1, "5fc36288307e1a52dc38aa18856efa998a1d0240590eca1e2ad34f6f28868816"),
+    (5, 6, 60, 7, "881f8f3584ff854f875d05008c0097b5577b37a7bb24c0c0ca02e7df7fc4ce13"),
+    (5, 2, 6, 4, "ec46adfa9abe667dcee4ba34164698b10ce6945719734aebd35dafe553487b61"),
+]
 
 
 class TestInverterChain:
@@ -57,6 +85,30 @@ class TestRandomLogicBlock:
     def test_acyclic(self):
         block = random_logic_block("b", n_gates=120, depth=15, n_inputs=10, n_outputs=8, seed=5)
         assert len(block.topological_order()) == 120
+
+    @pytest.mark.parametrize("n_inputs,depth,n_gates,seed,sha256", PINNED_BLOCKS)
+    def test_output_is_pinned(self, n_inputs, depth, n_gates, seed, sha256):
+        block = random_logic_block(
+            "b", n_gates=n_gates, depth=depth, n_inputs=n_inputs, n_outputs=1, seed=seed
+        )
+        assert hashlib.sha256(write_bench(block).encode("utf-8")).hexdigest() == sha256
+
+    def test_two_inputs_and_a_three_input_cell_at_level_one_returns(self):
+        """Both fanin pools are the two primary inputs, so the third pin of
+        a NAND3/NOR3/AOI21/OAI21 at level 1 must repeat one of them.  Run in
+        a child interpreter: a generator that loops is killed, not waited on."""
+        code = (
+            "from repro.circuit.generators import random_logic_block\n"
+            "block = random_logic_block('b', n_gates=20, depth=3, n_inputs=2,"
+            " n_outputs=1, seed=1)\n"
+            "print(block.n_gates, block.logic_depth())\n"
+        )
+        env = dict(os.environ, PYTHONPATH=str(SRC))
+        done = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60
+        )
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.split() == ["20", "3"]
 
     def test_validation(self):
         with pytest.raises(ValueError):

@@ -115,8 +115,10 @@ class TestSerialEngine:
 
     def test_serial_timeout_is_post_hoc(self, base_spec):
         """Serial timeouts cannot preempt, but they consume the attempt."""
-        plan = FaultPlan((FaultSpec(point=0, kind="timeout", attempts=-1, delay=0.3),))
-        policy = ExecutionPolicy(point_timeout=0.05, backoff_base=0.0)
+        # A healthy 200-sample point takes milliseconds; the 1 s budget
+        # leaves room for a loaded host, and the fault overruns it by 0.5 s.
+        plan = FaultPlan((FaultSpec(point=0, kind="timeout", attempts=-1, delay=1.5),))
+        policy = ExecutionPolicy(point_timeout=1.0, backoff_base=0.0)
         result = ScenarioSweep(base_spec, AXES).run(policy=policy, fault_plan=plan)
         (failure,) = result.failures
         assert failure.is_timeout and failure.index == 0

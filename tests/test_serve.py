@@ -20,7 +20,7 @@ from concurrent.futures import ThreadPoolExecutor
 import pytest
 
 from repro.api import backends as backends_module
-from repro.api.backends import get_backend, register_backend
+from repro.api.backends import DelayReport, get_backend, register_backend
 from repro.api.canonical import spec_digest, spec_to_wire
 from repro.api.session import Session
 from repro.api.spec import (
@@ -137,6 +137,30 @@ class TestUnaryEndpoints:
         assert deterministic(served) == deterministic(local)
         # The dispatching mirror of Session.run returns the same cached report.
         assert client.run(spec) == served
+
+    def test_two_input_random_logic_study_answers(self, server):
+        """A level-1 three-input cell over two primary inputs once left the
+        generator, and with it a worker thread, looping forever."""
+        import repro.verify  # noqa: F401  (registers the "random_logic" kind)
+
+        spec = StudySpec(
+            pipeline=PipelineSpec(
+                kind="random_logic",
+                n_stages=1,
+                logic_depth=3,
+                options={"n_gates": 20, "n_inputs": 2, "n_outputs": 1, "seed": 1},
+            ),
+            analysis=AnalysisSpec(n_samples=200, seed=13),
+        )
+        status, envelope = raw_request(
+            server, "POST", "/v1/study", body=json.dumps(spec.to_dict()).encode("utf-8")
+        )
+        assert status == 200, envelope
+        assert isinstance(envelope["report"]["samples"], str)  # float64 hex
+        served = DelayReport.from_dict(envelope["report"])
+        local = Session().run(spec)
+        assert served == local
+        assert served.samples.tobytes() == local.samples.tobytes()
 
     def test_health_and_stats(self, client):
         health = client.health()
