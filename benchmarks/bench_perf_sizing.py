@@ -3,11 +3,16 @@
 Times the statistical sizers on ISCAS stages (one target, and one
 four-point area--delay curve through ``characterize_stage``, which sizes
 every target in one ``size_targets`` call) and on a 20k-gate generated
-block, and the Design API's cached design flow (balanced baseline reuse
+block, one SSTA pass over four size rows against four one-row passes (the
+sizers' budget refreshes and final forms), and the Design API's cached
+design flow (balanced baseline reuse
 across optimizers, per-(stage, sizer) area--delay curve reuse, memoized
 design reports), and writes the timings to
 ``benchmarks/results/perf_sizing.json`` so optimizer hot-path numbers join
-the performance trajectory started by ``bench_perf_timing.py``.
+the performance trajectory started by ``bench_perf_timing.py``.  Each
+timed sizer call runs on a sizer built for it, after the target is
+computed, so its stage-form memo starts empty and reuses only forms of
+that call.
 
 Run directly::
 
@@ -23,7 +28,7 @@ from __future__ import annotations
 import json
 import pathlib
 
-from bench_utils import timed_seconds
+from bench_utils import best_of_seconds, timed_seconds
 
 RESULTS_DIR = pathlib.Path(__file__).parent / "results"
 
@@ -35,6 +40,9 @@ CURVE_POINTS = 4
 #: The large generated block for the sizer timings.
 LARGE_GATES = 20_000
 LARGE_DEPTH = 48
+#: Size rows per batched SSTA pass, and timed repeats (best of).
+SSTA_ROWS = 4
+SSTA_REPEATS = 15
 #: Sizer options sized so each run stays affordable in CI while still
 #: iterating enough for the per-move cost to dominate.
 LARGE_SIZER_RUNS = (
@@ -62,10 +70,17 @@ def run_benchmark() -> dict:
     technology = default_technology()
     variation = VariationModel.combined()
 
+    def fresh_sizer(sizer_name: str, options: dict):
+        # Each timed call gets its own sizer: a sizer's engine keeps the
+        # stage forms it computed, so a reused one would time memo hits
+        # from the untimed target computation or an earlier timed call.
+        return make_sizer(sizer_name, technology, variation, **options)
+
     report: dict = {
         "stage_yield": STAGE_YIELD,
         "sizers": {},
         "curves": {},
+        "ssta_rows": {},
         "design_api": {},
     }
 
@@ -77,16 +92,19 @@ def run_benchmark() -> dict:
         ("lagrangian", {"max_outer": 30}),
         ("greedy", {"max_moves": 2500}),
     ):
-        sizer = make_sizer(sizer_name, technology, variation, **options)
         stages = {}
         curves = {}
         for benchmark_name in ("c432", "c1908"):
             stage = PipelineStage(benchmark_name, iscas_benchmark(benchmark_name))
-            target = SPEEDUP * sizer.stage_distribution(stage).delay_at_yield(
-                STAGE_YIELD
-            )
+            target = SPEEDUP * fresh_sizer(sizer_name, options).stage_distribution(
+                stage
+            ).delay_at_yield(STAGE_YIELD)
             seconds, result = timed_seconds(
-                sizer.size_stage, stage, target, STAGE_YIELD, apply=False
+                fresh_sizer(sizer_name, options).size_stage,
+                stage,
+                target,
+                STAGE_YIELD,
+                apply=False,
             )
             stages[benchmark_name] = {
                 "seconds": seconds,
@@ -95,7 +113,11 @@ def run_benchmark() -> dict:
                 "gates_per_second": stage.n_gates * result.iterations / max(seconds, 1e-9),
             }
             seconds, curve = timed_seconds(
-                characterize_stage, stage, sizer, STAGE_YIELD, n_points=CURVE_POINTS
+                characterize_stage,
+                stage,
+                fresh_sizer(sizer_name, options),
+                STAGE_YIELD,
+                n_points=CURVE_POINTS,
             )
             curves[benchmark_name] = {
                 "seconds": seconds,
@@ -104,6 +126,33 @@ def run_benchmark() -> dict:
             }
         report["sizers"][sizer_name] = stages
         report["curves"][sizer_name] = curves
+
+    # ------------------------------------------------------------------
+    # SSTA over size rows: one pass of SSTA_ROWS rows against one pass per
+    # row, on the plain engine (no memo), both with the stage's register.
+    # ------------------------------------------------------------------
+    import numpy as np
+
+    from repro.circuit.flipflop import FlipFlopTiming
+    from repro.timing.ssta import StatisticalTimingAnalyzer
+
+    analyzer = StatisticalTimingAnalyzer(technology, variation)
+    for benchmark_name in ("c432", "c1908"):
+        netlist = iscas_benchmark(benchmark_name)
+        rows = np.random.default_rng(3).uniform(1.0, 4.0, (SSTA_ROWS, netlist.n_gates))
+        args = (netlist, FlipFlopTiming(), (0.9, 0.5))
+        one_pass, _ = best_of_seconds(
+            SSTA_REPEATS, analyzer.stage_delay, *args, sizes=rows
+        )
+        per_row, _ = best_of_seconds(
+            SSTA_REPEATS, lambda: [analyzer.stage_delay(*args, sizes=row) for row in rows]
+        )
+        report["ssta_rows"][benchmark_name] = {
+            "rows": SSTA_ROWS,
+            "one_pass_s": one_pass,
+            "per_row_passes_s": per_row,
+            "speedup": per_row / max(one_pass, 1e-12),
+        }
 
     # ------------------------------------------------------------------
     # Both sizers on a 20k-gate generated block.
@@ -126,12 +175,15 @@ def run_benchmark() -> dict:
         "sizers": {},
     }
     for sizer_name, options in LARGE_SIZER_RUNS:
-        sizer = make_sizer(sizer_name, technology, variation, **options)
-        target = SPEEDUP * sizer.stage_distribution(large_stage).delay_at_yield(
-            STAGE_YIELD
-        )
+        target = SPEEDUP * fresh_sizer(sizer_name, options).stage_distribution(
+            large_stage
+        ).delay_at_yield(STAGE_YIELD)
         seconds, result = timed_seconds(
-            sizer.size_stage, large_stage, target, STAGE_YIELD, apply=False
+            fresh_sizer(sizer_name, options).size_stage,
+            large_stage,
+            target,
+            STAGE_YIELD,
+            apply=False,
         )
         report["large_block"]["sizers"][sizer_name] = {
             "seconds": seconds,

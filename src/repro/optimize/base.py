@@ -6,7 +6,11 @@ gate sizes.  Everything around that inner loop is one statistical
 evaluation of the stage, written here once:
 
 * the size bounds ``min_size <= x <= max_size`` and ``sigma_refresh``;
-* the gate delay model and the embedded canonical-form SSTA engine;
+* the gate delay model and the embedded canonical-form SSTA engine, a
+  :class:`~repro.timing.ssta.MemoizedTimingAnalyzer`: every design-flow
+  form goes through it (both sizers' budgets, the closing evaluation,
+  ``characterize_stage``'s endpoint and ``pipeline_stage_statistics``), so
+  each distinct form is computed once while it stays in the memo;
 * :meth:`StageSizerBase.statistical_budget`, which turns the yield
   constraint ``mu + Phi^-1(Y) * sigma <= T_TARGET`` into the deterministic
   arrival budget the inner loop sizes against;
@@ -34,7 +38,7 @@ from repro.pipeline.stage import PipelineStage
 from repro.process.technology import Technology
 from repro.process.variation import VariationModel
 from repro.timing.delay_model import GateDelayModel
-from repro.timing.ssta import StatisticalTimingAnalyzer
+from repro.timing.ssta import MemoizedTimingAnalyzer
 
 
 class StageSizerBase:
@@ -71,22 +75,18 @@ class StageSizerBase:
         self.max_size = float(max_size)
         self.sigma_refresh = int(max(1, sigma_refresh))
         self.delay_model = GateDelayModel(technology)
-        self.ssta = StatisticalTimingAnalyzer(technology, variation, grid_size=grid_size)
+        self.ssta = MemoizedTimingAnalyzer(technology, variation, grid_size=grid_size)
 
     def _stage_form(self, stage: PipelineStage, sizes: np.ndarray):
+        """The stage's form at ``sizes``; a list of forms for ``(k, n)`` rows."""
         return self.ssta.stage_delay(
             stage.netlist, stage.flipflop, stage.register_position, sizes=sizes
         )
 
-    def _distribution(
-        self, stage: PipelineStage, sizes: np.ndarray
-    ) -> StageDelayDistribution:
-        form = self._stage_form(stage, sizes)
-        return StageDelayDistribution.from_canonical(form, name=stage.name)
-
     def stage_distribution(self, stage: PipelineStage) -> StageDelayDistribution:
         """Stage delay distribution at the stage's current sizes."""
-        return self._distribution(stage, stage.netlist.sizes())
+        form = self._stage_form(stage, stage.netlist.sizes())
+        return StageDelayDistribution.from_canonical(form, name=stage.name)
 
     @staticmethod
     def _check_targets(
@@ -150,10 +150,17 @@ class StageSizerBase:
         iterations: list[int],
         start_time: float,
     ) -> list[SizingResult]:
-        """Evaluate each target's final sizes into its result."""
+        """Evaluate each target's final sizes into its result.
+
+        Every target's form comes from one SSTA call over the final size
+        rows.
+        """
+        if not finals:
+            return []
+        forms = self._stage_form(stage, np.stack(finals))
         results = []
-        for sizes, target_delay, used in zip(finals, targets, iterations):
-            distribution = self._distribution(stage, sizes)
+        for sizes, form, target_delay, used in zip(finals, forms, targets, iterations):
+            distribution = StageDelayDistribution.from_canonical(form, name=stage.name)
             achieved_yield = distribution.yield_at(target_delay)
             results.append(
                 SizingResult(

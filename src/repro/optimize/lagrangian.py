@@ -196,11 +196,11 @@ class LagrangianSizer(StageSizerBase):
         The targets run as the rows of one ``(k, n_gates)`` state.  Each row
         keeps its own multipliers, global multiplier, budget, best and
         fastest sizes, stability count and iteration count; a row that
-        converges leaves the active rows and the others carry on.  At outer
-        iteration 0 every row sits at minimum sizes, so one SSTA form gives
-        every row's first budget; each later refresh is the row's own SSTA
-        call.  Result ``i`` is the run a lone ``targets[i]`` would make; the
-        netlist is not written.
+        converges leaves the active rows and the others carry on.  Each
+        budget refresh is one SSTA call over the active rows (at outer
+        iteration 0 they all sit at minimum sizes and share one form).
+        Result ``i`` is the run a lone ``targets[i]`` would make; the netlist
+        is not written.
         """
         targets = self._checked_targets(stage, targets, target_yield)
         if not targets:
@@ -255,13 +255,10 @@ class LagrangianSizer(StageSizerBase):
             worst_arrival = arrivals[:, output_mask].max(axis=1)
 
             if outer % self.sigma_refresh == 0:
-                # At outer iteration 0 every row sits at minimum sizes, so
-                # one form serves them all; later refreshes are per row.
-                forms = (
-                    [self._stage_form(stage, minimum)] * rows.shape[0]
-                    if outer == 0
-                    else [self._stage_form(stage, row_sizes) for row_sizes in sizes]
-                )
+                # One SSTA call for every active row (at outer iteration 0
+                # all rows sit at minimum sizes, and the memo computes that
+                # form once).
+                forms = self._stage_form(stage, sizes)
                 for row, form in enumerate(forms):
                     budget[row] = self.statistical_budget(
                         form, float(worst_arrival[row]), targets[rows[row]], target_yield

@@ -380,3 +380,50 @@ class TestDesignSweeps:
         assert apply_axis(spec, "validation.n_samples", 50).validation.n_samples == 50
         with pytest.raises(ValueError, match="axis path"):
             apply_axis(spec, "analysis.backend", "ssta")
+
+
+class TestDesignSweepSSTAWork:
+    """Each distinct stage form of the benchmark's design sweep is computed once.
+
+    The base sweep of the ``design_sweep`` benchmark workload (c432 + c499,
+    3 optimizers x 2 sizers) asks its sizers' engines for 164 stage-form
+    rows; 56 are memo hits, and the other 108 run in 59 SSTA passes (the
+    full counts are in DESIGN.md, "One SSTA pass per distinct sizing").  A
+    rise in passes or computed rows means a form is computed twice again;
+    a fall needs no change here.  The design flow does not depend on the
+    validation seed.
+    """
+
+    def test_passes_and_rows(self, monkeypatch):
+        from repro.timing.ssta import MemoizedTimingAnalyzer, StatisticalTimingAnalyzer
+
+        passes, asked = [], []
+        plan_arrivals = StatisticalTimingAnalyzer._plan_arrivals
+        stage_delay = MemoizedTimingAnalyzer.stage_delay
+
+        def counted_pass(self, netlist, sizes, lanes=None):
+            passes.append(lanes)
+            return plan_arrivals(self, netlist, sizes, lanes)
+
+        def counted_call(self, netlist, flipflop=None, flipflop_position=None, sizes=None):
+            asked.append(1 if sizes is None or np.ndim(sizes) == 1 else len(sizes))
+            return stage_delay(self, netlist, flipflop, flipflop_position, sizes)
+
+        monkeypatch.setattr(StatisticalTimingAnalyzer, "_plan_arrivals", counted_pass)
+        monkeypatch.setattr(MemoizedTimingAnalyzer, "stage_delay", counted_call)
+        base = DesignStudySpec(
+            pipeline=PipelineSpec(kind="iscas", benchmarks=("c432", "c499")),
+            variation=VariationSpec.combined(),
+            design=DesignSpec(yield_target=0.80),
+            validation=AnalysisSpec(n_samples=200, seed=11),
+        )
+        axes = {
+            "design.optimizer": ["balanced", "redistribute", "global"],
+            "design.sizer": ["lagrangian", "greedy"],
+        }
+        points = list(ScenarioSweep(base, axes).iter_results(Session()))
+        assert len(points) == 6
+        computed = sum(1 if lanes is None else lanes for lanes in passes)
+        assert len(passes) <= 59
+        assert computed <= 108
+        assert sum(asked) - computed > 0  # memo hits

@@ -16,9 +16,11 @@ import pathlib
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
+from repro.circuit.flipflop import FlipFlopTiming
 from repro.circuit.generators import inverter_chain, random_logic_block
+from repro.circuit.iscas import iscas_benchmark
 from repro.circuit.netlist import Netlist
 from repro.timing.delay_model import GateDelayModel
 from repro.timing import reference
@@ -29,7 +31,7 @@ from repro.timing.reference import (
     correlation_matrix_reference,
     required_times_reference,
 )
-from repro.timing import sta
+from repro.timing import ssta, sta
 from repro.timing.ssta import CanonicalForm, StatisticalTimingAnalyzer
 from repro.timing.sta import arrival_times, critical_path, max_delay, required_times
 from repro.process.technology import default_technology
@@ -403,6 +405,124 @@ class TestInPlacePass:
         )
         analyzer = StatisticalTimingAnalyzer(default_technology(), VARIATION_REGIMES[regime])
         assert_pass_matches_allocating(analyzer, block)
+
+
+def unmarked_copy(block: Netlist) -> Netlist:
+    """``block``'s gates and placement with no primary output marked."""
+    netlist = Netlist(f"{block.name}-unmarked")
+    for name in block.primary_inputs:
+        netlist.add_primary_input(name)
+    for name in block.topological_order():
+        gate = block.gate(name)
+        netlist.add_gate(name, gate.cell, list(gate.fanins), x=gate.x, y=gate.y)
+    return netlist
+
+
+def size_rows_netlist(source: str, n_gates: int, seed: int) -> Netlist:
+    """A netlist for the k-row tests: random, ISCAS stand-in or edge case."""
+    if source in ("c432", "c499"):
+        return iscas_benchmark(source)
+    if source == "register-only":
+        netlist = Netlist("register-only")
+        netlist.add_primary_input("a")
+        return netlist
+    block = random_logic_block(
+        "rows", n_gates=n_gates, depth=max(2, n_gates // 5), n_inputs=5,
+        n_outputs=max(1, n_gates // 2), seed=seed,
+    )
+    return unmarked_copy(block) if source == "unmarked" else block
+
+
+def assert_same_form(actual: CanonicalForm, expected: CanonicalForm) -> None:
+    assert type(actual.mean) is type(expected.mean) is float
+    assert type(actual.sigma_random) is type(expected.sigma_random) is float
+    assert_bytes_equal(
+        (np.float64(actual.mean), actual.sensitivities, np.float64(actual.sigma_random)),
+        (np.float64(expected.mean), expected.sensitivities, np.float64(expected.sigma_random)),
+    )
+
+
+class TestSizeRows:
+    """``(k, n_gates)`` sizes: shared level loops, each row its own call's bits."""
+
+    @given(
+        st.sampled_from(["random", "c432", "c499", "unmarked", "register-only"]),
+        st.integers(min_value=5, max_value=60),
+        st.integers(min_value=0, max_value=10**6),
+        st.lists(st.integers(min_value=0, max_value=5), min_size=1, max_size=6),
+        st.sampled_from(sorted(VARIATION_REGIMES)),
+        st.sampled_from(["none", "default position", "given position"]),
+    )
+    @settings(max_examples=60, deadline=None)
+    # One row's output chain holds a mean whose scalar square (libm pow)
+    # differs from its array square (x * x): a fold over all rows at once
+    # changes that row's bits.
+    @example("random", 40, 131, [0, 1, 1], "combined", "given position")
+    def test_rows_match_their_own_calls(self, source, n_gates, seed, picks, regime, flipflop):
+        netlist = size_rows_netlist(source, n_gates, seed)
+        analyzer = StatisticalTimingAnalyzer(default_technology(), VARIATION_REGIMES[regime])
+        distinct = np.random.default_rng(seed).uniform(1.0, 4.0, (6, netlist.n_gates))
+        sizes = distinct[picks]
+        register = None if flipflop == "none" else FlipFlopTiming()
+        position = (0.3, 0.7) if flipflop == "given position" else None
+        forms = analyzer.stage_delay(netlist, register, position, sizes=sizes)
+        combinational = analyzer.combinational_delay(netlist, sizes)
+        assert len(forms) == len(combinational) == len(picks)
+        for row, form, comb in zip(sizes, forms, combinational):
+            assert_same_form(form, analyzer.stage_delay(netlist, register, position, sizes=row))
+            assert_same_form(comb, analyzer.combinational_delay(netlist, row))
+
+    def test_example_chain_squares_differ(self):
+        """The fixed example above does hold a mean where ``x**2 != x*x``."""
+        netlist = size_rows_netlist("random", 40, 131)
+        analyzer = StatisticalTimingAnalyzer(
+            default_technology(), VARIATION_REGIMES["combined"]
+        )
+        sizes = np.random.default_rng(131).uniform(1.0, 4.0, (6, netlist.n_gates))[1]
+        means, _, _ = analyzer.arrival_components(netlist, sizes)
+        chain = np.sort(means[netlist.output_mask()])
+        assert any(mean**2 != mean * mean for mean in chain[1:])
+
+    @pytest.mark.parametrize(
+        "room, loops",
+        # Room in rows of the stage: 2.99 rows fit two, half a row still one.
+        [(2.99, [2, 2, 1]), (0.5, [1] * 5), (5, [5])],
+    )
+    def test_rows_split_into_bounded_loops(self, room, loops, monkeypatch):
+        """A loop takes at most ``_LOOP_ROWS`` (gate, row) pairs, one row at least."""
+        netlist = iscas_benchmark("c432")
+        analyzer = StatisticalTimingAnalyzer(default_technology(), VariationModel.combined())
+        sizes = np.random.default_rng(5).uniform(1.0, 4.0, (5, netlist.n_gates))
+        expected = [analyzer.stage_delay(netlist, FlipFlopTiming(), sizes=row) for row in sizes]
+        passes = []
+        plan_arrivals = StatisticalTimingAnalyzer._plan_arrivals
+
+        def counted(self, netlist, sizes, lanes=None):
+            passes.append(lanes)
+            return plan_arrivals(self, netlist, sizes, lanes)
+
+        monkeypatch.setattr(StatisticalTimingAnalyzer, "_plan_arrivals", counted)
+        monkeypatch.setattr(ssta, "_LOOP_ROWS", int(room * netlist.n_gates))
+        forms = analyzer.stage_delay(netlist, FlipFlopTiming(), sizes=sizes)
+        assert passes == loops
+        assert len(forms) == len(expected)
+        for form, own in zip(forms, expected):
+            assert_same_form(form, own)
+
+    def test_shapes(self):
+        netlist = random_block(20, 3)
+        analyzer = StatisticalTimingAnalyzer(default_technology(), VariationModel.combined())
+        assert analyzer.stage_delay(netlist, FlipFlopTiming(), sizes=np.ones((0, 20))) == []
+        one = analyzer.combinational_delay(netlist, np.ones((1, 20)))
+        assert isinstance(one, list) and len(one) == 1
+        assert_same_form(one[0], analyzer.combinational_delay(netlist, np.ones(20)))
+        for bad in (np.ones((2, 19)), np.ones((2, 2, 20))):
+            with pytest.raises(ValueError, match="sizes must have shape"):
+                analyzer.combinational_delay(netlist, bad)
+        with pytest.raises(ValueError, match="one size vector"):
+            analyzer.arrival_components(netlist, np.ones((2, 20)))
+        with pytest.raises(ValueError, match="one size vector"):
+            analyzer.gate_delay_components(netlist, np.ones((2, 20)))
 
 
 class TestReferenceIndependence:
